@@ -42,39 +42,58 @@ void MessageBatcher::enqueue(NodeId peer, std::uint8_t kind,
 
   if (pending.frame.count() >= config_.max_count ||
       pending.frame.body_bytes() >= config_.max_bytes) {
-    flush_pending(peer, pending, /*by_timer=*/false);
+    flush_pending(peer, pending, Cause::kSize);
     return;
   }
-  if (pending.frame.count() == 1) {
-    // First sub-message arms the drain timer; max_delay == 0 degenerates to
-    // "coalesce everything enqueued by the current simulation event".
-    pending.timer = clock_.schedule(pending.delay, [this, peer] {
-      const auto it = pending_.find(peer);
-      if (it == pending_.end() || it->second.frame.empty()) return;
-      flush_pending(peer, it->second, /*by_timer=*/true);
+  if (pending.frame.count() == 1) arm_flush(peer, pending);
+}
+
+void MessageBatcher::arm_flush(NodeId peer, Pending& pending) {
+  if (clock_.has_wakeups()) {
+    if (wakeup_armed_) return;
+    wakeup_armed_ = true;
+    wakeup_flush_ = clock_.defer([this] {
+      // Disarmed first: a flush that re-enters enqueue() for another peer
+      // arms the next deferral, which runs in this same drain.
+      wakeup_armed_ = false;
+      for (NodeId p : nonempty_peers()) flush(p, Cause::kWakeup);
     });
+    return;
   }
+  // The drain timer; max_delay == 0 degenerates to "coalesce everything
+  // enqueued by the current simulation event".
+  pending.timer = clock_.schedule(pending.delay, [this, peer] {
+    flush(peer, Cause::kTimer);
+  });
 }
 
-void MessageBatcher::flush(NodeId peer) {
-  const auto it = pending_.find(peer);
-  if (it == pending_.end() || it->second.frame.empty()) return;
-  flush_pending(peer, it->second, /*by_timer=*/false);
-}
-
-void MessageBatcher::flush_all() {
-  // Snapshot the peer set first: flush_ may re-enter enqueue(), and a
-  // pending_ insertion mid-iteration would invalidate a live iterator.
+std::vector<NodeId> MessageBatcher::nonempty_peers() const {
+  // A snapshot: flush_ may re-enter enqueue(), and a pending_ insertion
+  // mid-iteration would invalidate a live iterator.
   std::vector<NodeId> peers;
   peers.reserve(pending_.size());
   for (const auto& [peer, pending] : pending_) {
     if (!pending.frame.empty()) peers.push_back(peer);
   }
-  for (NodeId peer : peers) flush(peer);
+  return peers;
+}
+
+void MessageBatcher::flush(NodeId peer) { flush(peer, Cause::kSize); }
+
+void MessageBatcher::flush(NodeId peer, Cause cause) {
+  const auto it = pending_.find(peer);
+  if (it == pending_.end() || it->second.frame.empty()) return;
+  flush_pending(peer, it->second, cause);
+}
+
+void MessageBatcher::flush_all() {
+  for (NodeId peer : nonempty_peers()) flush(peer);
 }
 
 void MessageBatcher::cancel_all() {
   for (auto& [peer, pending] : pending_) pending.timer.cancel();
+  wakeup_flush_.cancel();
+  wakeup_armed_ = false;
   pending_.clear();
   buffered_bytes_.store(0, std::memory_order_relaxed);
 }
@@ -120,18 +139,24 @@ sim::Time MessageBatcher::rtt_ewma(NodeId peer) const {
 }
 
 void MessageBatcher::flush_pending(NodeId peer, Pending& pending,
-                                   bool by_timer) {
+                                   Cause cause) {
   pending.timer.cancel();
   const std::size_t count = pending.frame.count();
   Bytes body = pending.frame.take_body();
   buffered_bytes_.fetch_sub(body.size() - kBatchCountSize,
                             std::memory_order_relaxed);
   batches_flushed_.fetch_add(1, std::memory_order_relaxed);
-  if (by_timer) {
-    flushes_by_timer_.fetch_add(1, std::memory_order_relaxed);
-    adapt(pending, count);
-  } else {
-    flushes_by_size_.fetch_add(1, std::memory_order_relaxed);
+  switch (cause) {
+    case Cause::kSize:
+      flushes_by_size_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case Cause::kTimer:
+      flushes_by_timer_.fetch_add(1, std::memory_order_relaxed);
+      adapt(pending, count);  // only a timed wait has a delay to tune
+      break;
+    case Cause::kWakeup:
+      flushes_by_wakeup_.fetch_add(1, std::memory_order_relaxed);
+      break;
   }
   if (pending.first_enqueue_ns != 0) {
     // Queue-wait span: oldest sub-message enqueue -> this flush.

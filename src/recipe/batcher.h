@@ -9,16 +9,22 @@
 // peer are coalesced into one BatchFrame body and flushed as a SINGLE
 // shielded frame — one header, one counter/nonce, one MAC, one packet.
 //
-// Flush policy (per peer, all simulated-time driven):
-//  * max_count  — flush when the pending batch holds this many sub-messages;
-//  * max_bytes  — ...or when its encoded body reaches this many bytes;
-//  * max_delay  — ...or when the oldest sub-message has waited this long
-//                 (a sim::Simulator timer, so batches always drain).
+// Flush policy (per peer): a batch leaves when it holds max_count
+// sub-messages or max_bytes of encoded body, or else at its clock's next
+// flush point, so batches always drain:
+//  * on a clock with wake-ups (transport::TimerQueue, real sockets) that is
+//    the end of the current event-loop wake-up (sim::Clock::defer): every
+//    message produced while handling one burst of socket events, posted
+//    tasks and due timers leaves together, before the loop sleeps again —
+//    no timer, no added wait;
+//  * on the Simulator, which has no wake-ups, it is the max_delay timer
+//    armed by the oldest sub-message, timed by the rules below.
 // With `adaptive` set the per-peer delay self-tunes between min_delay and
 // max_delay: timer flushes that caught almost nothing halve the delay (don't
 // hold lone messages hostage), timer flushes that nearly filled the batch
-// grow it back (a little more patience buys a full frame). Size/count
-// flushes leave the delay alone — under dense traffic the timer never fires.
+// grow it back (a little more patience buys a full frame). Size/count and
+// wake-up flushes leave the delay alone — under dense traffic the timer
+// never fires.
 //
 // RTT pacing (`rtt_fraction` > 0): the MEASURED per-peer round-trip time
 // sets the CEILING the occupancy walk may grow the delay to — the owner
@@ -38,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/ids.h"
@@ -50,6 +57,8 @@ struct BatchConfig {
   bool enabled = false;  // default off: unbatched wire format, golden-pinned
   std::size_t max_count = 16;
   std::size_t max_bytes = 32 * 1024;
+  // The delay knobs below time the flush only on clocks without wake-ups
+  // (the Simulator); a real-time clock flushes at the end of the wake-up.
   sim::Time max_delay = 10 * sim::kMicrosecond;
   sim::Time min_delay = 1 * sim::kMicrosecond;  // adaptive floor
   bool adaptive = true;
@@ -64,8 +73,8 @@ struct BatchConfig {
   // protocol traffic feeds record_rtt() for free, but fire-and-forward
   // protocols (CR's chain, AllConcur's rounds) never see an RPC response;
   // with rtt_fraction > 0 the node keeps every paced link measured by
-  // enqueuing a tiny tracked probe at most this often (it rides inside a
-  // batch, so a probe costs one 17-byte sub-message).
+  // sending a tiny tracked probe (an unbatched shielded frame) at most this
+  // often. Clocks with wake-ups arm no delay timer and send no probes.
   sim::Time rtt_probe_period = 1 * sim::kMillisecond;
 };
 
@@ -131,6 +140,9 @@ class MessageBatcher {
   std::uint64_t flushes_by_timer() const {
     return flushes_by_timer_.load(std::memory_order_relaxed);
   }
+  std::uint64_t flushes_by_wakeup() const {
+    return flushes_by_wakeup_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Pending {
@@ -143,7 +155,14 @@ class MessageBatcher {
     std::uint64_t first_enqueue_ns{0};
   };
 
-  void flush_pending(NodeId peer, Pending& pending, bool by_timer);
+  enum class Cause : std::uint8_t { kSize, kTimer, kWakeup };
+
+  // Arms the peer's flush point for its first pending sub-message.
+  void arm_flush(NodeId peer, Pending& pending);
+  // Peers with a non-empty batch, snapshotted.
+  std::vector<NodeId> nonempty_peers() const;
+  void flush(NodeId peer, Cause cause);
+  void flush_pending(NodeId peer, Pending& pending, Cause cause);
   void adapt(Pending& pending, std::size_t flushed_count);
   // The largest delay the occupancy walk may grow to for this peer: the
   // RTT budget when pacing is on and samples exist, max_delay otherwise.
@@ -153,12 +172,16 @@ class MessageBatcher {
   BatchConfig config_;
   FlushFn flush_;
   std::unordered_map<NodeId, Pending> pending_;
+  // Clocks with wake-ups: ONE deferred flush per wake-up covers every peer.
+  sim::TimerHandle wakeup_flush_;
+  bool wakeup_armed_{false};
   std::atomic<std::size_t> buffered_bytes_{0};
 
   std::atomic<std::uint64_t> messages_batched_{0};
   std::atomic<std::uint64_t> batches_flushed_{0};
   std::atomic<std::uint64_t> flushes_by_size_{0};
   std::atomic<std::uint64_t> flushes_by_timer_{0};
+  std::atomic<std::uint64_t> flushes_by_wakeup_{0};
 };
 
 }  // namespace recipe

@@ -83,6 +83,8 @@ ReplicaNode::ReplicaNode(sim::Clock& clock, net::Transport& network,
             [this] { return batcher_.flushes_by_size(); });
     counter("recipe_batch_flushes_by_timer_total",
             [this] { return batcher_.flushes_by_timer(); });
+    counter("recipe_batch_flushes_by_wakeup_total",
+            [this] { return batcher_.flushes_by_wakeup(); });
     metric_handles_.push_back(
         m.on_gauge("recipe_batch_buffered_bytes", {}, [this] {
           return static_cast<std::int64_t>(batcher_.buffered_bytes());
@@ -421,7 +423,9 @@ void ReplicaNode::feed_rtt(const PendingResponse& pending) {
 }
 
 void ReplicaNode::maybe_probe_rtt(NodeId peer) {
-  if (options_.batch.rtt_fraction <= 0.0) return;
+  // The sample only paces the batcher's delay timer, which a clock with
+  // wake-ups never arms: there a batch leaves at the end of the wake-up.
+  if (options_.batch.rtt_fraction <= 0.0 || clock_.has_wakeups()) return;
   if (probe_inflight_.contains(peer)) return;
   const sim::Time now = clock_.now();
   const auto it = probe_last_.find(peer);

@@ -414,10 +414,11 @@ class ReplicaNode {
   std::uint64_t current_op_rpc_id_{0};
   // Feeds one completed round trip into the batcher's pacing EWMA.
   void feed_rtt(const PendingResponse& pending);
-  // Keeps a paced link measured: with rtt_fraction > 0, enqueues a tracked
-  // kPacingProbe toward `peer` at most every rtt_probe_period (one probe in
-  // flight per peer). Called on each batch flush, so only peers this node
-  // actually batches toward are probed.
+  // Keeps a paced link measured: with rtt_fraction > 0 on a clock without
+  // wake-ups (the Simulator), enqueues a tracked kPacingProbe toward `peer`
+  // at most every rtt_probe_period (one probe in flight per peer). Called
+  // on each batch flush, so only peers this node actually batches toward
+  // are probed.
   void maybe_probe_rtt(NodeId peer);
   std::unordered_map<rpc::RequestType, EnvelopeHandler> handlers_;
   kv::KvStore kv_;

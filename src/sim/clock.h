@@ -56,12 +56,14 @@ inline TimerHandle make_timer_handle(std::weak_ptr<bool> flag) {
 
 // Contract (both implementations):
 //  * Thread safety — now()/schedule_at()/schedule() are callable from any
-//    thread. Callbacks always FIRE on the clock's driving thread (the
-//    simulator's event loop, or the owning transport shard's epoll loop),
-//    never on the scheduling thread, and never concurrently with each
-//    other on the same clock. Under a sharded transport, schedule against
-//    the endpoint's home-shard clock (ShardedTcpTransport::clock_for) so
-//    the callback lands on the loop that owns the endpoint's state.
+//    thread; defer() belongs on the driving thread (a real clock treats a
+//    foreign-thread defer() as schedule_at(now())). Callbacks always FIRE
+//    on the clock's driving thread (the simulator's event loop, or the
+//    owning transport shard's epoll loop), never on the scheduling thread,
+//    and never concurrently with each other on the same clock. Under a
+//    sharded transport, schedule against the endpoint's home-shard clock
+//    (ShardedTcpTransport::clock_for) so the callback lands on the loop
+//    that owns the endpoint's state.
 //  * Ownership — the clock owns the callback until it fires or the clock
 //    is destroyed; cancel() only marks the shared flag, it does not free
 //    the callback early. Captured state must outlive the clock or be
@@ -86,6 +88,19 @@ class Clock {
   TimerHandle schedule(Time delay, Callback fn) {
     return schedule_at(now() + delay, std::move(fn));
   }
+
+  // Runs `fn` on the driving thread after the work in hand and before that
+  // thread blocks again; cancellable like a timer. Deferred callbacks run in
+  // FIFO order, and one deferred from inside another runs in the same drain.
+  // On a real clock this is the end of one event-loop wake-up (after its
+  // socket events, posted tasks and due timers); on the Simulator, which
+  // never blocks, it is an event at now() behind those already queued.
+  virtual TimerHandle defer(Callback fn) = 0;
+
+  // True when the driving thread sleeps between wake-ups, so defer() marks
+  // a wake-up boundary worth batching up to (TimerQueue). False for the
+  // Simulator: simulated time has no wake-ups, only events.
+  virtual bool has_wakeups() const = 0;
 };
 
 }  // namespace recipe::sim

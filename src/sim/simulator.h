@@ -24,6 +24,10 @@ class Simulator final : public Clock {
   Time now() const override { return now_; }
 
   TimerHandle schedule_at(Time when, Callback fn) override;
+  TimerHandle defer(Callback fn) override {
+    return schedule_at(now_, std::move(fn));
+  }
+  bool has_wakeups() const override { return false; }
 
   // Runs events until the queue drains or the time limit is passed.
   // Returns the number of events executed.

@@ -119,9 +119,11 @@ void TcpTransport::epoll_update(int fd, std::uint32_t events,
 
 int TcpTransport::wait_events(::epoll_event* events, int max_events,
                               std::int64_t timeout_ns) {
-  // Nanosecond-resolution waits when available: a 50us batch-flush timer
-  // must not become a 1ms sleep. epoll_pwait2 appeared in Linux 5.11; fall
-  // back to millisecond epoll_wait (rounded up) on ENOSYS.
+  // Nanosecond-resolution timeouts when available: a sub-millisecond timer
+  // must not become a 1ms sleep. The wake-up can still land late by the
+  // thread's timer slack (50us by default on a non-RT thread), so no
+  // latency-critical path should sleep on a timer. epoll_pwait2 appeared in
+  // Linux 5.11; fall back to millisecond epoll_wait (rounded up) on ENOSYS.
   if (pwait2_state_ >= 0 && timeout_ns >= 0) {
 #ifdef SYS_epoll_pwait2
     timespec ts{};
@@ -270,6 +272,7 @@ void TcpTransport::drain_xshard() {
 }
 
 void TcpTransport::loop() {
+  timers_.bind_driver();
   epoll_event events[kMaxEvents];
   while (!stop_requested_.load()) {
     std::int64_t timeout_ns = -1;
@@ -290,57 +293,73 @@ void TcpTransport::loop() {
     // sleeping until its eventfd write lands.
     if (xshard_.maybe_nonempty()) timeout_ns = 0;
 
-    const int n = wait_events(events, kMaxEvents, timeout_ns);
+    const int n = wait_events(events, kMaxEvents, timeout_ns);  // <0: EINTR
+    in_pass_ = true;
     drain_inbox();
     drain_xshard();
     timers_.run_due();
-    if (n < 0) continue;  // EINTR
-
-    for (int i = 0; i < n; ++i) {
-      const int fd = static_cast<int>(events[i].data.u64 & 0xFFFFFFFFu);
-      const std::uint64_t gen = events[i].data.u64 >> 32;
-      const std::uint32_t mask = events[i].events;
-      if (fd == wake_fd_) {
-        std::uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
-      // Anything in this batch — an earlier event, a posted task, a timer —
-      // may have closed this fd, and a fresh socket may already have reused
-      // the number: the registration generation disambiguates, stale events
-      // are discarded.
-      bool is_listener = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto lit = listeners_.find(fd);
-        is_listener = lit != listeners_.end() && lit->second.gen == gen;
-      }
-      if (is_listener) {
-        accept_ready(fd);
-        continue;
-      }
-      {
-        const auto cit = conns_.find(fd);
-        if (cit == conns_.end() || cit->second.gen != gen) continue;
-      }
-      if ((mask & (EPOLLERR | EPOLLHUP)) != 0 &&
-          !conns_.find(fd)->second.connecting) {
-        close_conn(fd);
-        continue;
-      }
-      if ((mask & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
-        handle_writable(conns_.find(fd)->second);
-      }
-      {
-        const auto cit = conns_.find(fd);
-        if (cit != conns_.end() && cit->second.gen == gen &&
-            (mask & EPOLLIN) != 0) {
-          handle_readable(cit->second);
-        }
-      }
-    }
+    for (int i = 0; i < n; ++i) handle_event(events[i]);
+    // End of the wake-up: batches this pass produced leave first, then every
+    // connection they (or anything else) dirtied is written once.
+    timers_.run_deferred();
+    flush_dirty();
+    in_pass_ = false;
   }
+}
+
+void TcpTransport::handle_event(const epoll_event& event) {
+  const int fd = static_cast<int>(event.data.u64 & 0xFFFFFFFFu);
+  const std::uint64_t gen = event.data.u64 >> 32;
+  const std::uint32_t mask = event.events;
+  if (fd == wake_fd_) {
+    // A non-semaphore eventfd hands back (and resets) its whole count.
+    std::uint64_t drained = 0;
+    [[maybe_unused]] const ssize_t r =
+        ::read(wake_fd_, &drained, sizeof(drained));
+    return;
+  }
+  // Anything in this batch — an earlier event, a posted task, a timer — may
+  // have closed this fd, and a fresh socket may already have reused the
+  // number: the registration generation disambiguates, stale events are
+  // discarded.
+  bool is_listener = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto lit = listeners_.find(fd);
+    is_listener = lit != listeners_.end() && lit->second.gen == gen;
+  }
+  if (is_listener) {
+    accept_ready(fd);
+    return;
+  }
+  {
+    const auto cit = conns_.find(fd);
+    if (cit == conns_.end() || cit->second.gen != gen) return;
+  }
+  if ((mask & (EPOLLERR | EPOLLHUP)) != 0 &&
+      !conns_.find(fd)->second.connecting) {
+    close_conn(fd);
+    return;
+  }
+  if ((mask & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
+    handle_writable(conns_.find(fd)->second);
+  }
+  const auto cit = conns_.find(fd);
+  if (cit != conns_.end() && cit->second.gen == gen && (mask & EPOLLIN) != 0) {
+    handle_readable(cit->second);
+  }
+}
+
+void TcpTransport::flush_dirty() {
+  // By index and re-resolved: a failed flush closes its connection.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    const auto [fd, gen] = dirty_[i];
+    const auto it = conns_.find(fd);
+    if (it == conns_.end() || it->second.gen != gen) continue;
+    it->second.dirty = false;
+    if (!it->second.write_armed) flush_conn(it->second);
+  }
+  dirty_.clear();
 }
 
 // --- wiring ------------------------------------------------------------------
@@ -579,13 +598,11 @@ void TcpTransport::do_send(net::Packet&& packet, bool forwarded) {
       // never run inside the sender's call frame, matching the simulator.
       // post() would run INLINE here (do_send is on the loop thread), so the
       // deferral must go through the inbox explicitly.
+      // No wake(): the loop checks the inbox before it next waits.
       packet.flatten();  // receivers only ever see contiguous payloads
-      {
-        std::lock_guard<std::mutex> lock(inbox_mu_);
-        inbox_.push_back(
-            [this, p = std::move(packet)]() mutable { deliver(std::move(p)); });
-      }
-      wake();
+      std::lock_guard<std::mutex> lock(inbox_mu_);
+      inbox_.push_back(
+          [this, p = std::move(packet)]() mutable { deliver(std::move(p)); });
       return;
     }
   } else if (payload_size > options_.max_frame_payload) {
@@ -634,6 +651,7 @@ void TcpTransport::do_send(net::Packet&& packet, bool forwarded) {
   } else {
     out_append(*conn, as_view(packet.payload));
   }
+  const bool gathered = !packet.segments.empty();
   for (Bytes& seg : packet.segments) {
     if (seg.size() >= kMoveThreshold) {
       out_move(*conn, std::move(seg));
@@ -641,7 +659,27 @@ void TcpTransport::do_send(net::Packet&& packet, bool forwarded) {
       out_append(*conn, as_view(seg));
     }
   }
-  if (!conn->connecting) flush_conn(*conn);
+  // EPOLLOUT armed (a dial in progress, or a full socket buffer): the
+  // writable event flushes. Otherwise cork: inside a loop pass the queue
+  // leaves in the end-of-pass sweep as ONE gathered sendmsg with everything
+  // else sent to this peer meanwhile, unless it already fills a coalescing
+  // chunk or a sendmsg's iovecs. Outside a pass (stop()'s final drain)
+  // nothing would sweep, so it leaves now. A gathered packet is a flushed
+  // batch (recipe/batcher.h): its batcher already coalesced this peer's
+  // traffic up to the end of the wake-up or a full batch, and a full batch
+  // held for the rest of a long pass only idles the receiver — measured,
+  // corking them halved bench_transport's batched throughput at pipeline
+  // depth 64 on 4 cores. It leaves now, with whatever is corked before it.
+  if (conn->write_armed) return;
+  if (in_pass_ && !gathered && conn->out_bytes < kCoalesceChunk &&
+      conn->outq.size() < static_cast<std::size_t>(kMaxIov)) {
+    if (!conn->dirty) {
+      conn->dirty = true;
+      dirty_.emplace_back(conn->fd, conn->gen);
+    }
+    return;
+  }
+  flush_conn(*conn);
 }
 
 void TcpTransport::out_append(Conn& conn, BytesView data) {
@@ -936,6 +974,10 @@ void TcpTransport::handle_readable(Conn& conn) {
       deliver(std::move(*packet));
     }
     if (resolve() == nullptr) return;
+    // A short read drained the socket: epoll is level-triggered, so it
+    // reports the fd again when more arrives — skip the read that would
+    // only return EAGAIN.
+    if (static_cast<std::size_t>(n) < sizeof(buffer)) return;
   }
 }
 

@@ -43,6 +43,8 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "net/frame.h"
@@ -83,12 +85,13 @@ struct TcpTransportOptions {
   // Frame decoder bound: a length prefix above this poisons the connection.
   std::size_t max_frame_payload = net::kMaxFramePayload;
   // TCP_NODELAY on every connection (dialed and accepted). The egress
-  // pipeline does its own batching (recipe/batcher.h) and each flush leaves
-  // in ONE gathered sendmsg, so Nagle only adds latency on top — it is
-  // disabled by default and there is deliberately no TCP_CORK usage: the
-  // frame is complete when the syscall runs, there is nothing to hold back.
-  // Turning this off re-enables Nagle (kernel-side coalescing) for
-  // experiments comparing it against application-level batching.
+  // pipeline does its own batching (recipe/batcher.h) and corks single
+  // frames in user space until the end of the loop pass, so Nagle only adds
+  // latency on top. It is disabled by default and there is deliberately no
+  // TCP_CORK usage: the frames are complete when the syscall runs, there is
+  // nothing to hold back. Turning this off re-enables Nagle (kernel-side
+  // coalescing) for experiments comparing it against application-level
+  // batching.
   bool nodelay = true;
   // When > 0, shrink/grow SO_SNDBUF on every connection. Production leaves
   // this 0 (kernel autotuning); tests set it tiny to force partial writes
@@ -283,6 +286,8 @@ class TcpTransport final : public net::Transport {
     std::uint64_t dial_peer{kNoDialPeer};
     // A trickle-pacing timer is in flight for this conn (trickle mode).
     bool trickle_armed{false};
+    // Queued egress waits for the end-of-pass sweep (listed in dirty_).
+    bool dirty{false};
     net::FrameDecoder decoder;
     // Egress queue: a sequence of byte buffers flushed with ONE gathered
     // sendmsg per syscall. Small pieces (frame headers, tiny payloads)
@@ -294,10 +299,15 @@ class TcpTransport final : public net::Transport {
     std::size_t out_bytes{0};  // total unsent bytes across outq
   };
 
+  // One pass per wake-up: posted tasks, cross-shard ops, due timers and
+  // socket events, then the end-of-pass sweep — deferred callbacks (batch
+  // flushes), then one write per dirty connection.
   void loop();
+  void handle_event(const ::epoll_event& event);
+  void flush_dirty();
   // epoll_pwait2 (nanosecond timeout) when the kernel has it, else
-  // millisecond epoll_wait; keeps microsecond-scale timers (batch flush
-  // delays) from rounding up to a whole millisecond of idle sleep.
+  // millisecond epoll_wait; keeps microsecond-scale timers from rounding up
+  // to a whole millisecond of idle sleep.
   int wait_events(::epoll_event* events, int max_events,
                   std::int64_t timeout_ns);
   void wake();
@@ -376,6 +386,10 @@ class TcpTransport final : public net::Transport {
   // when their connection closes.
   std::unordered_map<int, Conn> conns_;
   std::unordered_map<std::uint64_t, int> conn_by_peer_;
+  // Corked connections as (fd, gen), written by flush_dirty(); in_pass_ is
+  // true while a loop pass runs, the only time a sweep follows.
+  std::vector<std::pair<int, std::uint64_t>> dirty_;
+  bool in_pass_{false};
   // Per-peer dial backoff (loop-thread only): when the next attempt may
   // run and how long the current backoff is.
   struct DialState {

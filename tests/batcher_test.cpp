@@ -9,6 +9,7 @@
 #include "protocols/craq/craq.h"
 #include "protocols/raft/raft.h"
 #include "recipe/batcher.h"
+#include "transport/timer_queue.h"
 
 namespace recipe {
 namespace {
@@ -212,6 +213,68 @@ TEST(Batcher, CancelAllDropsPendingWithoutFlushing) {
   fx.sim.run_for(sim::kSecond);
   EXPECT_TRUE(fx.flushed.empty());
   EXPECT_EQ(batcher.buffered_bytes(), 0u);
+}
+
+// --- Wake-up flush (clocks with wake-ups) -----------------------------------
+
+MessageBatcher make_on(transport::TimerQueue& timers, BatchConfig config,
+                       std::vector<Flushed>& flushed) {
+  config.enabled = true;
+  return MessageBatcher(timers, config, [&flushed](NodeId peer, Bytes body,
+                                                   std::size_t count) {
+    flushed.push_back(Flushed{peer, count, std::move(body)});
+  });
+}
+
+// On a real-time clock a batch leaves at the end of the loop pass that
+// filled it: ONE deferred flush covers every peer, no delay timer is armed,
+// and the adaptive delay does not walk.
+TEST(Batcher, WakeupClockFlushesEveryPeerAtTheEndOfThePass) {
+  transport::TimerQueue timers;
+  timers.bind_driver();
+  std::vector<Flushed> flushed;
+  BatchConfig config;
+  config.max_delay = sim::kSecond;
+  auto batcher = make_on(timers, config, flushed);
+
+  const Bytes payload = to_bytes("abc");
+  for (int i = 0; i < 3; ++i) {
+    batcher.enqueue(NodeId{2}, BatchItem::kKindRequest, 7, i, as_view(payload));
+  }
+  batcher.enqueue(NodeId{3}, BatchItem::kKindRequest, 7, 9, as_view(payload));
+  EXPECT_TRUE(flushed.empty());
+  EXPECT_EQ(timers.pending(), 0u) << "no delay timer on a wake-up clock";
+
+  EXPECT_EQ(timers.run_deferred(), 1u);
+  ASSERT_EQ(flushed.size(), 2u);
+  std::size_t messages = 0;
+  for (const Flushed& f : flushed) messages += f.count;
+  EXPECT_EQ(messages, 4u);
+  EXPECT_EQ(batcher.flushes_by_wakeup(), 2u);
+  EXPECT_EQ(batcher.flushes_by_timer(), 0u);
+  EXPECT_EQ(batcher.current_delay(NodeId{2}), sim::kSecond);
+  EXPECT_EQ(batcher.buffered_bytes(), 0u);
+}
+
+// The deferred flush dies with the pending batches: after cancel_all() (a
+// crash) and after the batcher is destroyed, nothing runs at the end of the
+// pass — running it would flush a dead node's traffic or touch freed state.
+TEST(Batcher, WakeupFlushDiesWithCancelAllAndWithTheBatcher) {
+  transport::TimerQueue timers;
+  timers.bind_driver();
+  std::vector<Flushed> flushed;
+  {
+    auto batcher = make_on(timers, BatchConfig{}, flushed);
+    batcher.enqueue(NodeId{2}, BatchItem::kKindRequest, 7, 1,
+                    as_view(to_bytes("x")));
+    batcher.cancel_all();
+    EXPECT_EQ(timers.run_deferred(), 0u);
+
+    batcher.enqueue(NodeId{2}, BatchItem::kKindRequest, 7, 2,
+                    as_view(to_bytes("y")));
+  }
+  EXPECT_EQ(timers.run_deferred(), 0u);
+  EXPECT_TRUE(flushed.empty());
 }
 
 // --- End-to-end through live clusters ---------------------------------------

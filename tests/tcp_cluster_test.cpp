@@ -5,6 +5,7 @@
 // stays linearizable: every read returns the latest completed write.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -162,6 +163,101 @@ TEST(TcpClusterTest, BasicOpsUnsecuredUnbatched) {
     EXPECT_TRUE(get.found);
     EXPECT_EQ(to_string(as_view(get.value)), "value" + std::to_string(i));
   }
+}
+
+// On real sockets a batch leaves at the end of the event-loop wake-up that
+// filled it, never on the max_delay timer: with a 10 s delay (and no
+// adaptive walk or RTT pacing to shrink it) batched shielded puts still
+// complete in a fraction of one delay, and no flush is a timer flush.
+BatchConfig ten_second_batches() {
+  BatchConfig batch;
+  batch.enabled = true;
+  batch.max_delay = 10 * sim::kSecond;
+  batch.adaptive = false;
+  batch.rtt_fraction = 0;
+  return batch;
+}
+
+TEST(TcpClusterTest, BatchesLeaveAtTheEndOfTheWakeupNotOnTheTimer) {
+  TcpClusterOptions options;
+  options.protocol = "cr";
+  options.secured = true;
+  options.batch = ten_second_batches();
+  TcpCluster cluster(options);
+  KvClient& client = cluster.add_client(2400);
+
+  const auto started = std::chrono::steady_clock::now();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(cluster.put(client, "w" + std::to_string(i), "v").ok);
+  }
+  const ClientReply get = cluster.get(client, "w4");
+  EXPECT_TRUE(get.ok && get.found);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(2));
+
+  std::uint64_t by_wakeup = 0;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    cluster.run_on(i, [&] {
+      const MessageBatcher& batcher = cluster.node(i).batcher();
+      EXPECT_EQ(batcher.flushes_by_timer(), 0u) << "replica " << i;
+      by_wakeup += batcher.flushes_by_wakeup();
+    });
+  }
+  EXPECT_GE(by_wakeup, 5u * 3u) << "3 batched chain hops per put";
+}
+
+// The pacing probe only feeds the RTT budget of the delay timer, which a
+// real-time clock never arms: with rtt_fraction set, CR's fire-and-forward
+// chain still measures no RTT because no probe is sent.
+TEST(TcpClusterTest, NoPacingProbesOnRealSockets) {
+  TcpClusterOptions options;
+  options.protocol = "cr";
+  options.secured = true;
+  options.batch = ten_second_batches();
+  options.batch.rtt_fraction = 0.5;
+  TcpCluster cluster(options);
+  KvClient& client = cluster.add_client(2600);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(cluster.put(client, "p" + std::to_string(i), "v").ok);
+  }
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    cluster.run_on(i, [&] {
+      for (NodeId peer : cluster.membership()) {
+        EXPECT_EQ(cluster.node(i).batcher().rtt_ewma(peer), 0u)
+            << "replica " << i << " probed " << peer.value;
+      }
+    });
+  }
+}
+
+// A replica that crashes between enqueue and the end of the wake-up flushes
+// nothing: the pending batch (and its deferred flush) dies with the node.
+TEST(TcpClusterTest, CrashBeforeTheWakeupEndsFlushesNothing) {
+  TcpClusterOptions options;
+  options.protocol = "cr";
+  options.secured = true;
+  options.batch = ten_second_batches();
+  TcpCluster cluster(options);
+  KvClient& client = cluster.add_client(2500);
+  ASSERT_TRUE(cluster.put(client, "warm", "v").ok);
+
+  std::uint64_t flushed = 0;
+  std::uint64_t batched = 0;
+  cluster.run_on(0, [&] {
+    MessageBatcher& batcher = cluster.node(0).batcher();
+    flushed = batcher.batches_flushed();
+    batched = batcher.messages_batched();
+    batcher.enqueue(cluster.membership()[1], BatchItem::kKindRequest,
+                    msg::kHeartbeat, /*rpc_id=*/0, to_bytes("doomed"));
+    cluster.crash(0);  // inline: this task is already on replica 0's loop
+  });
+  // A second task runs in a later pass, after the first pass's sweep.
+  cluster.run_on(0, [&] {
+    const MessageBatcher& batcher = cluster.node(0).batcher();
+    EXPECT_EQ(batcher.messages_batched(), batched + 1);
+    EXPECT_EQ(batcher.batches_flushed(), flushed);
+    EXPECT_EQ(batcher.buffered_bytes(), 0u);
+  });
 }
 
 // Two clients co-hosted on ONE client transport: the replicas see them both

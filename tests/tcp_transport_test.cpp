@@ -18,10 +18,12 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.h"
 #include "recipe/client.h"
 #include "rpc/rpc.h"
 #include "transport/tcp_transport.h"
@@ -676,6 +678,175 @@ TEST(TcpTransportTest, ResetPeerConnectionsRstsAndRecovers) {
   ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
             std::future_status::ready);
   EXPECT_EQ(to_string(as_view(future.get())), "after reset");
+}
+
+// Corked egress: every send a loop pass makes to one peer leaves in ONE
+// gathered sendmsg at the end of the pass (one kSocketWrite span per
+// flush_conn that moved bytes), not one syscall per send.
+TEST(TcpTransportTest, SendsFromOneLoopTaskLeaveInOneSendmsg) {
+  static constexpr int kSends = 10;
+  Peer a{NodeId{1}};
+  Peer b{NodeId{2}};
+  ASSERT_TRUE(a.transport.add_route(b.id, "127.0.0.1", b.listen_port)
+                  .is_ok());
+  a.start();
+  b.start();
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.set_enabled(true);
+
+  // Warm the connection first: queued sends behind a dial in progress
+  // leave together whatever the corking does.
+  {
+    auto done = std::make_shared<std::promise<void>>();
+    auto future = done->get_future();
+    a.transport.run_sync([&] {
+      a.rpc->send(b.id, kEcho, to_bytes("warm"),
+                  [done](NodeId, Bytes) { done->set_value(); });
+    });
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+  }
+
+  const std::uint64_t mark = obs::FlightRecorder::now_ns();
+  auto replies = std::make_shared<std::atomic<int>>(0);
+  auto done = std::make_shared<std::promise<void>>();
+  auto future = done->get_future();
+  a.transport.run_sync([&] {
+    for (int i = 0; i < kSends; ++i) {
+      a.rpc->send(b.id, kEcho, to_bytes("burst-" + std::to_string(i)),
+                  [replies, done](NodeId, Bytes) {
+                    if (++*replies == kSends) done->set_value();
+                  });
+    }
+  });
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+
+  std::size_t writes_to_b = 0;
+  a.transport.run_sync([&] {
+    for (const auto& event : recorder.snapshot()) {
+      if (event.kind == obs::SpanKind::kSocketWrite && event.t0_ns >= mark &&
+          event.actor == b.id.value) {
+        ++writes_to_b;
+      }
+    }
+  });
+  EXPECT_EQ(writes_to_b, 1u) << kSends << " sends from one loop task";
+}
+
+// Two bare transports, no RPC layer: endpoint 1 on `sender` sends raw
+// packets to endpoint 2 on `receiver`, which keeps every payload it gets.
+struct RawLink {
+  RawLink() {
+    auto port = receiver.listen(to, 0);
+    EXPECT_TRUE(port.is_ok());
+    receiver.attach(to, net::NetStackParams::direct_io_native(),
+                    [this](net::Packet packet) {
+                      std::lock_guard<std::mutex> lock(mu);
+                      received.push_back(std::move(packet.payload));
+                    });
+    sender.attach(from, net::NetStackParams::direct_io_native(),
+                  [](net::Packet) {});
+    EXPECT_TRUE(sender.add_route(to, "127.0.0.1", port.value()).is_ok());
+  }
+
+  // A gathered packet (payload + one segment) is what a batch flush sends.
+  net::Packet packet(Bytes payload, bool gathered = false) const {
+    net::Packet p;
+    p.src = from;
+    p.dst = to;
+    p.payload = std::move(payload);
+    if (gathered) p.segments.push_back(to_bytes("segment"));
+    return p;
+  }
+
+  // Waits up to 10 s for `n` deliveries; returns how many arrived.
+  std::size_t wait_for(std::size_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (received.size() >= n ||
+            std::chrono::steady_clock::now() >= deadline) {
+          return received.size();
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  const NodeId from{1};
+  const NodeId to{2};
+  // Declared before the transports: the receiver's loop writes them until
+  // its destructor joins it.
+  std::mutex mu;
+  std::vector<Bytes> received;
+  TcpTransport sender;
+  TcpTransport receiver;
+};
+
+// Corking holds single frames until the end of the pass; a gathered packet
+// (a flushed batch) leaves at once, taking the corked frames ahead of it.
+TEST(TcpTransportTest, GatheredBatchLeavesAtOnceWithWhatIsCorkedBeforeIt) {
+  RawLink link;
+  link.sender.send(link.packet(to_bytes("warm")));  // dial the connection
+  ASSERT_EQ(link.wait_for(1), 1u);
+
+  std::size_t corked = 0;
+  std::size_t after_batch = 0;
+  link.sender.run_sync([&] {
+    link.sender.send(link.packet(to_bytes("single")));
+    corked = link.sender.egress_backlog();
+    link.sender.send_gather(link.packet(to_bytes("batch"), /*gathered=*/true));
+    after_batch = link.sender.egress_backlog();
+  });
+  EXPECT_GT(corked, 0u) << "a single frame waits for the end of the pass";
+  EXPECT_EQ(after_batch, 0u) << "the batch and the frame ahead of it left";
+  EXPECT_EQ(link.wait_for(3), 3u);
+}
+
+// Frames that end exactly where a 64 KiB read does: a read that fills the
+// chunk must be followed by another (only a SHORT read proves the socket
+// drained), and every frame must arrive intact.
+TEST(TcpTransportTest, ReadsThatExactlyFillTheReadChunkDeliverEveryFrame) {
+  constexpr std::size_t kReadChunk = 64 * 1024;  // TcpTransport's read size
+  constexpr std::size_t kFrames = 4;
+  RawLink link;
+
+  // Hold the receiver's loop so the stream piles up in the socket and the
+  // reads that follow return whole chunks.
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  link.receiver.post([gate] { gate.wait(); });
+  std::vector<Bytes> sent;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    Bytes payload(kReadChunk - net::kFrameHeaderSize, 0);
+    for (std::size_t j = 0; j < payload.size(); ++j) {
+      payload[j] = static_cast<std::uint8_t>(j * 7 + i);
+    }
+    sent.push_back(payload);
+    link.sender.send(link.packet(std::move(payload)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.set_value();
+
+  ASSERT_EQ(link.wait_for(kFrames), kFrames);
+  std::lock_guard<std::mutex> lock(link.mu);
+  EXPECT_EQ(link.received, sent);
+}
+
+// A send outside any loop pass (here: after stop(), when posted work runs
+// on the caller) has no end-of-pass sweep behind it and must leave at once.
+TEST(TcpTransportTest, SendAfterStopStillLeaves) {
+  RawLink link;
+  link.sender.send(link.packet(to_bytes("ping")));  // through the live loop
+  ASSERT_EQ(link.wait_for(1), 1u);
+
+  link.sender.stop();
+  // Runs inline on this thread over the established connection.
+  link.sender.send(link.packet(to_bytes("ping")));
+  EXPECT_EQ(link.wait_for(2), 2u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rpc/rpc.h"
+#include "sim/simulator.h"
 #include "transport/tcp_transport.h"
 #include "transport/timer_queue.h"
 
@@ -89,6 +90,94 @@ TEST(TimerQueueTest, CrossThreadScheduleWakesTheOwner) {
   scheduler.join();
   timers.run_due();
   EXPECT_TRUE(fired);
+}
+
+// The loop recomputes its poll timeout after every pass, so a timer armed
+// from the driver thread itself must not write the wake-up eventfd; only a
+// foreign thread's earlier deadline has to interrupt the poll.
+TEST(TimerQueueTest, ScheduleFromDriverThreadDoesNotWake) {
+  TimerQueue timers;
+  std::atomic<int> wakeups{0};
+  timers.set_wakeup([&] { ++wakeups; });
+  timers.bind_driver();
+
+  timers.schedule(50 * sim::kMillisecond, [] {});
+  timers.schedule(0, [] {});  // a new earliest deadline, still no wake-up
+  EXPECT_EQ(wakeups.load(), 0);
+
+  std::thread foreign([&] { timers.schedule_at(0, [] {}); });
+  foreign.join();
+  EXPECT_EQ(wakeups.load(), 1);
+}
+
+// A cancelled timer at the top of the heap yields no deadline: the loop
+// must neither sleep toward it nor wake for it (a completed client op
+// cancels its 500 ms RPC timeout every time).
+TEST(TimerQueueTest, CancelledTimerAtTopYieldsNoDeadline) {
+  TimerQueue timers;
+  sim::TimerHandle early = timers.schedule(10 * sim::kMillisecond, [] {});
+  early.cancel();
+  EXPECT_FALSE(timers.next_deadline().has_value());
+  EXPECT_EQ(timers.pending(), 0u);
+
+  early = timers.schedule(10 * sim::kMillisecond, [] {});
+  timers.schedule(500 * sim::kMillisecond, [] {});
+  const sim::Time live = *timers.next_deadline();
+  early.cancel();
+  ASSERT_TRUE(timers.next_deadline().has_value());
+  EXPECT_GT(*timers.next_deadline(), live);
+  EXPECT_EQ(timers.pending(), 1u);
+}
+
+TEST(TimerQueueTest, DeferredCallbacksRunInOneDrainInFifoOrder) {
+  TimerQueue timers;
+  timers.bind_driver();
+  std::vector<int> ran;
+  timers.defer([&] {
+    ran.push_back(1);
+    timers.defer([&] { ran.push_back(3); });  // same drain
+  });
+  sim::TimerHandle cancelled = timers.defer([&] { ran.push_back(99); });
+  timers.defer([&] { ran.push_back(2); });
+  cancelled.cancel();
+  EXPECT_TRUE(ran.empty()) << "defer() must not run inline";
+  EXPECT_EQ(timers.run_due(), 0u) << "deferred work is not a timer";
+  EXPECT_EQ(timers.run_deferred(), 3u);
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(timers.run_deferred(), 0u);
+}
+
+// Off the driver thread there is no pass in hand to defer to: the callback
+// becomes an immediate timer, which wakes the loop like any foreign one.
+TEST(TimerQueueTest, ForeignThreadDeferBecomesAnImmediateTimer) {
+  TimerQueue timers;
+  timers.bind_driver();
+  std::atomic<int> wakeups{0};
+  timers.set_wakeup([&] { ++wakeups; });
+  bool ran = false;
+  std::thread foreign([&] { timers.defer([&] { ran = true; }); });
+  foreign.join();
+  EXPECT_EQ(wakeups.load(), 1);
+  EXPECT_EQ(timers.run_deferred(), 0u);
+  EXPECT_EQ(timers.run_due(), 1u);
+  EXPECT_TRUE(ran);
+}
+
+// The Simulator has no wake-ups: defer() is an event at now(), behind the
+// events already queued for that instant.
+TEST(TimerQueueTest, SimulatorDeferRunsAfterTheCurrentInstantsEvents) {
+  sim::Simulator simulator;
+  EXPECT_FALSE(simulator.has_wakeups());
+  EXPECT_TRUE(TimerQueue{}.has_wakeups());
+  std::vector<int> ran;
+  simulator.schedule(5, [&] {
+    ran.push_back(1);
+    simulator.defer([&] { ran.push_back(3); });
+  });
+  simulator.schedule(5, [&] { ran.push_back(2); });
+  simulator.run_all();
+  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(simulator.now(), 5u);
 }
 
 // THE seam regression (satellite of the transport tentpole): an RPC timeout
