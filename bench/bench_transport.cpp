@@ -4,18 +4,10 @@
 // A 3-replica CR group runs over transport::TcpTransport (one epoll loop
 // thread per replica + one for the client, real sockets, real time) and a
 // closed-loop pipelined client measures msgs/sec and p50/p99 op latency
-// across {shielded, null-security} x {unbatched, batched}, with the batched
-// shielded point additionally swept across the two pacing modes:
-//   * fixed — the legacy occupancy-adaptive flush delay;
-//   * rtt   — flush delay re-paced to a fraction of the measured per-peer
-//             RTT (BatchConfig::rtt_fraction).
-// For every batched config the run also records each replica's converged
-// per-peer RTT EWMA and autotuned flush delay (the `links` arrays) so the
-// pacing loop's behavior is inspectable from the committed artifact.
-// Both pacing modes time the flush only on the simulator: over TCP every
-// batch leaves at the end of the event-loop wake-up that filled it and no
-// pacing probe runs, so the two rows measure the same pipeline (their ratio
-// is run-to-run noise) and `links` stays empty for CR's chain.
+// across {shielded, null-security} x {unbatched, batched}. There is no
+// pacing sweep: over TCP every batch leaves at the end of the event-loop
+// wake-up that filled it and no pacing probe runs, so the flush-delay knobs
+// (fixed or RTT-paced) time nothing here — they are simulator-only.
 //
 // The run also sweeps the SHARDED transport: a raw shielded-echo workload
 // (no replication protocol, so the transport and crypto are the only
@@ -57,27 +49,6 @@ using namespace recipe;
 
 namespace {
 
-enum class Pacing { kNone, kFixed, kRtt };
-
-const char* pacing_name(Pacing pacing) {
-  switch (pacing) {
-    case Pacing::kNone:
-      return "none";
-    case Pacing::kFixed:
-      return "fixed";
-    case Pacing::kRtt:
-      return "rtt";
-  }
-  return "?";
-}
-
-struct LinkStats {
-  std::uint64_t from{0};
-  std::uint64_t to{0};
-  double rtt_us{0};
-  double flush_delay_us{0};
-};
-
 // Outstanding puts of the closed-loop client in every replicated config
 // (and the chaos run); the JSON's "pipeline" field reads this same value.
 constexpr std::size_t kPipeline = 64;
@@ -85,17 +56,15 @@ constexpr std::size_t kPipeline = 64;
 struct ConfigResult {
   std::string security;
   std::string batching;
-  Pacing pacing{Pacing::kNone};
   std::size_t ops{0};
   double ops_per_sec{0};
   std::uint64_t p50_us{0};
   std::uint64_t p99_us{0};
   std::uint64_t failed{0};
   std::uint64_t packets_sent{0};
-  std::vector<LinkStats> links;
 };
 
-ConfigResult run_trial(bool secured, Pacing pacing, std::size_t total_ops,
+ConfigResult run_trial(bool secured, bool batched, std::size_t total_ops,
                        bool metrics = true) {
   cluster::TcpClusterOptions options;
   options.protocol = "cr";
@@ -106,15 +75,9 @@ ConfigResult run_trial(bool secured, Pacing pacing, std::size_t total_ops,
   // reproduce the pre-observability cost profile (every handle a
   // branch-on-null no-op, every span a single relaxed load).
   obs::FlightRecorder::global().set_enabled(metrics);
-  options.batch.enabled = pacing != Pacing::kNone;
+  options.batch.enabled = batched;
   options.batch.max_count = 16;
   options.batch.max_delay = 50 * sim::kMicrosecond;  // real microseconds
-  if (pacing == Pacing::kRtt) {
-    // Budget the flush wait at half the measured round trip: a delay of
-    // RTT/2 always stays hidden inside the round trip ahead of it, and the
-    // occupancy walk adapts underneath that ceiling.
-    options.batch.rtt_fraction = 0.5;
-  }
   cluster::TcpCluster cluster(options);
   KvClient& client = cluster.add_client(4000);
   const NodeId coordinator = cluster.write_coordinator();
@@ -126,8 +89,7 @@ ConfigResult run_trial(bool secured, Pacing pacing, std::size_t total_ops,
 
   ConfigResult result;
   result.security = secured ? "shielded" : "null";
-  result.batching = pacing == Pacing::kNone ? "off" : "on";
-  result.pacing = pacing;
+  result.batching = batched ? "on" : "off";
   // A negative elapsed time means the run never completed (lost op): report
   // zero ops so the acceptance check fails instead of the job hanging.
   result.ops = secs < 0 ? 0 : total_ops;
@@ -140,27 +102,6 @@ ConfigResult run_trial(bool secured, Pacing pacing, std::size_t total_ops,
   });
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     result.packets_sent += cluster.transport(i).packets_sent();
-  }
-  if (pacing != Pacing::kNone) {
-    // Converged pacing state, queried on each replica's own loop thread.
-    for (std::size_t i = 0; i < cluster.size(); ++i) {
-      cluster.run_on(i, [&] {
-        MessageBatcher& batcher = cluster.node(i).batcher();
-        for (NodeId peer : cluster.membership()) {
-          if (peer == cluster.node(i).self()) continue;
-          const sim::Time rtt = batcher.rtt_ewma(peer);
-          if (rtt == 0) continue;  // never batched toward this peer
-          LinkStats link;
-          link.from = cluster.node(i).self().value;
-          link.to = peer.value;
-          link.rtt_us = static_cast<double>(rtt) / sim::kMicrosecond;
-          link.flush_delay_us =
-              static_cast<double>(batcher.current_delay(peer)) /
-              sim::kMicrosecond;
-          result.links.push_back(link);
-        }
-      });
-    }
   }
   obs::FlightRecorder::global().set_enabled(true);
   return result;
@@ -226,11 +167,11 @@ ChaosResult run_chaos_config(std::size_t total_ops) {
   return r;
 }
 
-ConfigResult run_config(bool secured, Pacing pacing, std::size_t total_ops,
+ConfigResult run_config(bool secured, bool batched, std::size_t total_ops,
                         std::size_t trials, bool metrics = true) {
   ConfigResult best;
   for (std::size_t t = 0; t < trials; ++t) {
-    ConfigResult r = run_trial(secured, pacing, total_ops, metrics);
+    ConfigResult r = run_trial(secured, batched, total_ops, metrics);
     // A failed trial never wins; among clean trials the fastest does.
     const bool r_ok = r.failed == 0 && r.ops > 0;
     const bool best_ok = best.failed == 0 && best.ops > 0;
@@ -483,37 +424,21 @@ int main(int argc, char** argv) {
       argc > 3 ? static_cast<std::size_t>(std::strtoull(argv[3], nullptr, 10))
                : 3;
 
-  struct ConfigSpec {
-    bool secured;
-    Pacing pacing;
-  };
-  // The four {security} x {batching} corners plus the pacing sweep point:
-  // batched configs use RTT pacing (the pipeline default the headline ratio
-  // gates); the extra shielded/fixed run isolates what RTT pacing buys over
-  // the occupancy walk on the same machine.
-  const ConfigSpec specs[] = {
-      {true, Pacing::kNone},  {true, Pacing::kFixed}, {true, Pacing::kRtt},
-      {false, Pacing::kNone}, {false, Pacing::kRtt},
-  };
-
+  // The four {security} x {batching} corners.
   std::vector<ConfigResult> results;
-  for (const ConfigSpec& spec : specs) {
-    ConfigResult r = run_config(spec.secured, spec.pacing, ops, trials);
-    std::printf(
-        "security=%-8s batching=%-3s pacing=%-5s  %8.0f ops/s  p50=%4lluus "
-        "p99=%4lluus  failed=%llu  replica-packets=%llu\n",
-        r.security.c_str(), r.batching.c_str(), pacing_name(r.pacing),
-        r.ops_per_sec, static_cast<unsigned long long>(r.p50_us),
-        static_cast<unsigned long long>(r.p99_us),
-        static_cast<unsigned long long>(r.failed),
-        static_cast<unsigned long long>(r.packets_sent));
-    for (const LinkStats& link : r.links) {
-      std::printf("    link %llu->%llu  rtt=%.1fus  flush_delay=%.1fus\n",
-                  static_cast<unsigned long long>(link.from),
-                  static_cast<unsigned long long>(link.to), link.rtt_us,
-                  link.flush_delay_us);
+  for (bool secured : {true, false}) {
+    for (bool batched : {false, true}) {
+      ConfigResult r = run_config(secured, batched, ops, trials);
+      std::printf(
+          "security=%-8s batching=%-3s  %8.0f ops/s  p50=%4lluus "
+          "p99=%4lluus  failed=%llu  replica-packets=%llu\n",
+          r.security.c_str(), r.batching.c_str(), r.ops_per_sec,
+          static_cast<unsigned long long>(r.p50_us),
+          static_cast<unsigned long long>(r.p99_us),
+          static_cast<unsigned long long>(r.failed),
+          static_cast<unsigned long long>(r.packets_sent));
+      results.push_back(std::move(r));
     }
-    results.push_back(std::move(r));
   }
 
   bool all_ok = true;
@@ -567,17 +492,17 @@ int main(int argc, char** argv) {
       cores, speedup_unbatched, speedup_batched, floor,
       scaling_ok ? "ok" : "FAIL");
 
-  // Observability overhead guard: the headline shielded+RTT-paced config
+  // Observability overhead guard: the headline shielded batched config
   // re-run with the metrics registries AND the flight recorder disabled
   // (TcpClusterOptions::metrics=false constructs disabled registries, so
   // every handle no-ops). The gate: instrumentation may cost at most 3%
   // (on/off >= 0.97), best-of-trials on both sides to shed scheduler noise.
   constexpr double kObsOverheadFloor = 0.97;
   const ConfigResult obs_off =
-      run_config(true, Pacing::kRtt, ops, trials, /*metrics=*/false);
+      run_config(true, /*batched=*/true, ops, trials, /*metrics=*/false);
   double obs_on_ops = 0.0;
   for (const ConfigResult& r : results) {
-    if (r.security == "shielded" && r.pacing == Pacing::kRtt) {
+    if (r.security == "shielded" && r.batching == "on") {
       obs_on_ops = r.ops_per_sec;
     }
   }
@@ -602,24 +527,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaos.reordered),
       static_cast<unsigned long long>(chaos.delayed));
 
-  auto find = [&](const char* sec, Pacing pacing) -> const ConfigResult& {
+  auto find = [&](const char* sec,
+                  const char* batching) -> const ConfigResult& {
     for (const ConfigResult& r : results) {
-      if (r.security == sec && r.pacing == pacing) return r;
+      if (r.security == sec && r.batching == batching) return r;
     }
     return results.front();
   };
-  const double shielded_cost =
-      ratio(find("null", Pacing::kNone).ops_per_sec,
-            find("shielded", Pacing::kNone).ops_per_sec);
+  const double shielded_cost = ratio(find("null", "off").ops_per_sec,
+                                     find("shielded", "off").ops_per_sec);
   // The headline the CI trajectory gate enforces a hard floor on: the full
-  // pipeline (caller-thread shielding + gathered writev + RTT pacing)
-  // against the same shielded stack unbatched.
-  const double batch_speedup =
-      ratio(find("shielded", Pacing::kRtt).ops_per_sec,
-            find("shielded", Pacing::kNone).ops_per_sec);
-  const double rtt_over_fixed =
-      ratio(find("shielded", Pacing::kRtt).ops_per_sec,
-            find("shielded", Pacing::kFixed).ops_per_sec);
+  // pipeline (caller-thread shielding + gathered writev + batching) against
+  // the same shielded stack unbatched.
+  const double batch_speedup = ratio(find("shielded", "on").ops_per_sec,
+                                     find("shielded", "off").ops_per_sec);
 
   FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -638,35 +559,21 @@ int main(int argc, char** argv) {
     const ConfigResult& r = results[i];
     std::fprintf(out,
                  "    {\"security\": \"%s\", \"batching\": \"%s\", "
-                 "\"pacing\": \"%s\", "
                  "\"ops\": %zu, \"ops_per_sec\": %.0f, \"p50_us\": %llu, "
                  "\"p99_us\": %llu, \"failed\": %llu, "
-                 "\"replica_packets\": %llu, \"links\": [",
-                 r.security.c_str(), r.batching.c_str(),
-                 pacing_name(r.pacing), r.ops, r.ops_per_sec,
-                 static_cast<unsigned long long>(r.p50_us),
+                 "\"replica_packets\": %llu}%s\n",
+                 r.security.c_str(), r.batching.c_str(), r.ops,
+                 r.ops_per_sec, static_cast<unsigned long long>(r.p50_us),
                  static_cast<unsigned long long>(r.p99_us),
                  static_cast<unsigned long long>(r.failed),
-                 static_cast<unsigned long long>(r.packets_sent));
-    for (std::size_t l = 0; l < r.links.size(); ++l) {
-      const LinkStats& link = r.links[l];
-      std::fprintf(out,
-                   "%s{\"from\": %llu, \"to\": %llu, \"rtt_us\": %.1f, "
-                   "\"flush_delay_us\": %.1f}",
-                   l > 0 ? ", " : "",
-                   static_cast<unsigned long long>(link.from),
-                   static_cast<unsigned long long>(link.to), link.rtt_us,
-                   link.flush_delay_us);
-    }
-    std::fprintf(out, "]}%s\n", i + 1 < results.size() ? "," : "");
+                 static_cast<unsigned long long>(r.packets_sent),
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"null_over_shielded_unbatched\": %.3f,\n",
                shielded_cost);
   std::fprintf(out, "  \"batched_over_unbatched_shielded\": %.3f,\n",
                batch_speedup);
-  std::fprintf(out, "  \"rtt_paced_over_fixed_shielded\": %.3f,\n",
-               rtt_over_fixed);
   std::fprintf(out,
                "  \"chaos\": {\"seed\": %llu, \"ops\": %zu, "
                "\"ops_per_sec\": %.0f, \"failed\": %llu, \"dropped\": %llu, "

@@ -9,6 +9,8 @@ namespace {
 // Enclave-resident cost per entry: digest + timestamp + version + pointer +
 // skiplist forward pointers (amortized).
 constexpr std::uint64_t kMetadataBytes = 32 + 16 + 8 + 8 + 24;
+// Nonce domain of confidential-mode value encryption.
+constexpr std::uint32_t kValueNonceTag = 0x4B56;  // "KV"
 }  // namespace
 
 struct KvStore::Node {
@@ -75,14 +77,32 @@ crypto::Sha256Digest entry_digest(std::string_view key, BytesView value,
 Bytes KvStore::seal(BytesView plaintext, std::uint64_t version) const {
   Bytes data(plaintext.begin(), plaintext.end());
   if (confidential()) {
-    const auto nonce = crypto::make_nonce(0x4B56u /*"KV"*/, version);
+    const auto nonce = crypto::make_nonce(kValueNonceTag, version);
     crypto::chacha20_xor(config_.value_encryption_key.view(), nonce, 0, data);
   }
   return data;
 }
 
-Bytes KvStore::unseal(BytesView ciphertext, std::uint64_t version) const {
-  return seal(ciphertext, version);  // XOR stream cipher is its own inverse
+Status KvStore::load_verified(const Node& node, Bytes& out) const {
+  auto loaded = arena_.load(node.value_ptr);
+  if (!loaded) {
+    return Status::error(ErrorCode::kIntegrityViolation,
+                         "host freed value under enclave pointer");
+  }
+  out = std::move(loaded).take();
+  if (confidential()) {
+    // XOR stream cipher: decryption is the sealing transform again.
+    const auto nonce = crypto::make_nonce(kValueNonceTag, node.version);
+    crypto::chacha20_xor(config_.value_encryption_key.view(), nonce, 0, out);
+  }
+  const auto digest = entry_digest(node.key, as_view(out), node.ts);
+  if (!crypto::constant_time_equal(BytesView(digest.data(), digest.size()),
+                                   BytesView(node.digest.data(),
+                                             node.digest.size()))) {
+    return Status::error(ErrorCode::kIntegrityViolation,
+                         "host value does not match enclave digest");
+  }
+  return Status::ok();
 }
 
 bool KvStore::write(std::string_view key, BytesView value, Timestamp ts) {
@@ -106,6 +126,8 @@ bool KvStore::write(std::string_view key, BytesView value, Timestamp ts) {
     existing->digest = entry_digest(key, value, ts);
     existing->ts = ts;
     existing->version = version;
+    payload_bytes_ += value.size();
+    payload_bytes_ -= existing->value_size;
     existing->value_size = static_cast<std::uint32_t>(value.size());
     const Status st = arena_.replace(existing->value_ptr, seal(value, version));
     assert(st.is_ok());
@@ -137,6 +159,7 @@ bool KvStore::write(std::string_view key, BytesView value, Timestamp ts) {
   }
   ++size_;
   enclave_bytes_ += key.size() + kMetadataBytes;
+  payload_bytes_ += key.size() + value.size();
   return true;
 }
 
@@ -145,19 +168,8 @@ Result<VersionedValue> KvStore::get(std::string_view key) const {
   if (node == nullptr) {
     return Status::error(ErrorCode::kNotFound, std::string(key));
   }
-  auto sealed = arena_.load(node->value_ptr);
-  if (!sealed) {
-    return Status::error(ErrorCode::kIntegrityViolation,
-                         "host freed value under enclave pointer");
-  }
-  Bytes plaintext = unseal(as_view(sealed.value()), node->version);
-  const auto digest = entry_digest(key, as_view(plaintext), node->ts);
-  if (!crypto::constant_time_equal(BytesView(digest.data(), digest.size()),
-                                   BytesView(node->digest.data(),
-                                             node->digest.size()))) {
-    return Status::error(ErrorCode::kIntegrityViolation,
-                         "host value does not match enclave digest");
-  }
+  Bytes plaintext;
+  if (auto s = load_verified(*node, plaintext); !s.is_ok()) return s;
   return VersionedValue{std::move(plaintext), node->ts, node->version};
 }
 
@@ -199,6 +211,7 @@ bool KvStore::erase(std::string_view key) {
   }
   arena_.free(target->value_ptr);
   enclave_bytes_ -= target->key.size() + kMetadataBytes;
+  payload_bytes_ -= target->key.size() + target->value_size;
   --size_;
   delete target;
   while (level_ > 1 &&
@@ -220,6 +233,7 @@ void KvStore::clear() {
   level_ = 1;
   size_ = 0;
   enclave_bytes_ = 0;
+  payload_bytes_ = 0;
 }
 
 void KvStore::scan(
@@ -228,6 +242,18 @@ void KvStore::scan(
        node = node->next[0]) {
     if (!fn(node->key, node->ts)) return;
   }
+}
+
+Status KvStore::scan_values(
+    const std::function<void(std::string_view, BytesView, const Timestamp&)>&
+        fn) const {
+  Bytes value;
+  for (const Node* node = head_->next[0]; node != nullptr;
+       node = node->next[0]) {
+    if (auto s = load_verified(*node, value); !s.is_ok()) return s;
+    fn(node->key, as_view(value), node->ts);
+  }
+  return Status::ok();
 }
 
 void KvStore::scan_from(

@@ -103,6 +103,15 @@ class KvStore {
   void scan(const std::function<bool(std::string_view key,
                                      const Timestamp&)>& fn) const;
 
+  // In-order iteration over verified values: one level-0 walk, each host
+  // value copied into enclave memory, decrypted in confidential mode and
+  // checked against its digest before `fn` sees it (the view lives only for
+  // the call). Returns kIntegrityViolation at the first value the host
+  // tampered with.
+  Status scan_values(const std::function<void(std::string_view key,
+                                              BytesView value,
+                                              const Timestamp&)>& fn) const;
+
   // In-order iteration starting STRICTLY AFTER `cursor` (empty cursor: from
   // the first key). O(log n) positioning via the skiplist towers — this is
   // what makes chunked state streaming resumable without re-walking the
@@ -114,6 +123,9 @@ class KvStore {
   // Memory accounting for the TEE cost model.
   std::uint64_t enclave_bytes() const { return enclave_bytes_; }
   std::uint64_t host_bytes() const { return arena_.bytes_used(); }
+  // Keys plus plaintext values, summed over every entry (enclave-side
+  // bookkeeping, so serializers can size their output exactly).
+  std::uint64_t payload_bytes() const { return payload_bytes_; }
   bool confidential() const { return !config_.value_encryption_key.empty(); }
 
   // Test access to the untrusted side.
@@ -129,7 +141,10 @@ class KvStore {
   Node* find(std::string_view key) const;
   int random_level();
   Bytes seal(BytesView plaintext, std::uint64_t version) const;
-  Bytes unseal(BytesView ciphertext, std::uint64_t version) const;
+  // Copies `node`'s host value into `out`, decrypts it there and checks it
+  // against the enclave digest (verify-after-copy: the host cannot swap
+  // the bytes between the check and their use).
+  Status load_verified(const Node& node, Bytes& out) const;
 
   KvConfig config_;
   HostArena arena_;
@@ -138,6 +153,7 @@ class KvStore {
   int level_{1};
   std::size_t size_{0};
   std::uint64_t enclave_bytes_{0};
+  std::uint64_t payload_bytes_{0};
   std::uint64_t next_version_{1};
 };
 

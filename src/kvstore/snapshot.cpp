@@ -1,5 +1,6 @@
 #include "kvstore/snapshot.h"
 
+#include "common/endian.h"
 #include "common/serde.h"
 #include "crypto/chacha20.h"
 
@@ -26,40 +27,53 @@ Result<SnapshotManifest> peek_snapshot_manifest(BytesView sealed) {
   return m;
 }
 
-Bytes seal_snapshot(const KvStore& kv, const crypto::SymmetricKey& sealing_key,
-                    std::uint64_t version) {
-  // Entry stream: [key str][value bytes][ts.counter u64][ts.node u64]*.
-  // Values are re-read through the integrity-checking path, so a host that
-  // corrupted the arena can never launder bad bytes into a sealed snapshot.
-  Writer entries;
+Result<Bytes> seal_snapshot(const KvStore& kv,
+                            const crypto::SymmetricKey& sealing_key,
+                            std::uint64_t version) {
+  // Blob: [magic u32][version u64][count u32][body length u32][body][MAC],
+  // body = [key str][value bytes][ts.counter u64][ts.node u64]*. One walk
+  // writes it straight into a buffer sized from the store's own accounting;
+  // the body is then encrypted and the prefix MAC'd where they lie.
+  constexpr std::size_t kCountOffset = 4 + 8;
+  constexpr std::size_t kBodyOffset = kCountOffset + 4 + 4;
+  constexpr std::size_t kEntryOverhead = 4 + 4 + 8 + 8;
+  Writer blob(kBodyOffset + kv.payload_bytes() + kEntryOverhead * kv.size() +
+              crypto::kMacSize);
+  blob.u32(kSnapshotMagic);
+  blob.u64(version);
+  blob.u32(0);  // entry count, patched below
+  blob.u32(0);  // body length, patched below
   std::uint32_t count = 0;
-  kv.scan([&](std::string_view key, const Timestamp&) {
-    auto value = kv.get(key);
-    if (value.is_ok()) {
-      entries.str(key);
-      entries.bytes(as_view(value.value().value));
-      entries.u64(value.value().timestamp.counter);
-      entries.u64(value.value().timestamp.node);
-      ++count;
-    }
-    return true;
-  });
+  // Values come through the integrity-checking scan, so a host that
+  // corrupted the arena can never launder bad bytes into a sealed snapshot —
+  // and a value that fails its digest fails the seal: skipping it would let
+  // compaction delete the segments holding the last good copy.
+  if (auto s = kv.scan_values([&](std::string_view key, BytesView value,
+                                  const Timestamp& ts) {
+        blob.str(key);
+        blob.bytes(value);
+        blob.u64(ts.counter);
+        blob.u64(ts.node);
+        ++count;
+      });
+      !s.is_ok()) {
+    return s;
+  }
 
-  Bytes body = std::move(entries).take();
+  Bytes out = std::move(blob).take();
+  const std::size_t body_len = out.size() - kBodyOffset;
+  store_le32(out.data() + kCountOffset, count);
+  store_le32(out.data() + kCountOffset + 4,
+             static_cast<std::uint32_t>(body_len));
   // Nonce bound to the snapshot version: each sealed version uses a distinct
   // stream under the long-lived sealing key.
   const auto nonce = crypto::make_nonce(kSnapshotNonceTag, version);
-  crypto::chacha20_xor(sealing_key.view(), nonce, 0, body);
-
-  Writer blob(body.size() + 64);
-  blob.u32(kSnapshotMagic);
-  blob.u64(version);
-  blob.u32(count);
-  blob.bytes(as_view(body));
+  crypto::chacha20_xor(sealing_key.view(), nonce, 0, out.data() + kBodyOffset,
+                       body_len);
   const crypto::Mac mac =
-      crypto::hmac_sha256(sealing_key.view(), as_view(blob.buffer()));
-  blob.raw(BytesView(mac.data(), mac.size()));
-  return std::move(blob).take();
+      crypto::hmac_sha256(sealing_key.view(), as_view(out));
+  out.insert(out.end(), mac.begin(), mac.end());
+  return out;
 }
 
 Result<SnapshotRestore> unseal_snapshot(BytesView sealed,

@@ -40,8 +40,11 @@ Result<SnapshotManifest> peek_snapshot_manifest(BytesView sealed);
 // Serializes + seals the full store under `sealing_key` as snapshot
 // `version`. The caller must have reserved `version` from the hardware
 // rollback counter (Enclave::advance_snapshot_version) BEFORE sealing.
-Bytes seal_snapshot(const KvStore& kv, const crypto::SymmetricKey& sealing_key,
-                    std::uint64_t version);
+// kIntegrityViolation when any host value fails its enclave digest: a
+// snapshot never silently drops a key.
+Result<Bytes> seal_snapshot(const KvStore& kv,
+                            const crypto::SymmetricKey& sealing_key,
+                            std::uint64_t version);
 
 struct SnapshotRestore {
   std::size_t installed{0};  // entries that moved local state forward

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
@@ -108,6 +109,13 @@ FileWalStorage::FileWalStorage(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_, ec);
 }
 
+FileWalStorage::~FileWalStorage() { close_open_segment_locked(); }
+
+void FileWalStorage::close_open_segment_locked() {
+  if (open_fd_ >= 0) (void)::close(open_fd_);
+  open_fd_ = -1;
+}
+
 std::string FileWalStorage::segment_path(std::uint64_t id) const {
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%016llx.wal",
@@ -137,21 +145,22 @@ std::vector<std::uint64_t> FileWalStorage::list_segments() const {
 
 namespace {
 
-Status write_file(const std::string& path, BytesView data, const char* mode) {
-  std::FILE* f = std::fopen(path.c_str(), mode);
-  if (f == nullptr) {
-    return Status::error(ErrorCode::kInternal, "cannot open " + path);
+// Writes all of `data` at the descriptor's offset, then fsyncs it; false on
+// a failed or short write or a failed sync.
+bool write_and_sync(int fd, BytesView data) {
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    p += n;
+    left -= static_cast<std::size_t>(n);
   }
-  const std::size_t n = std::fwrite(data.data(), 1, data.size(), f);
   // The WAL's whole contract is that acknowledged bytes survive power loss:
   // a buffered append that dies in the page cache would let an HONEST crash
   // produce the same silently-shortened log a malicious truncation does.
-  const bool synced = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (n != data.size() || !synced) {
-    return Status::error(ErrorCode::kInternal, "short write to " + path);
-  }
-  return Status::ok();
+  return ::fsync(fd) == 0;
 }
 
 // Durability of creates/renames needs the DIRECTORY entry synced too.
@@ -182,11 +191,24 @@ Result<Bytes> read_file(const std::string& path) {
 
 Status FileWalStorage::append_segment(std::uint64_t id, BytesView record) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string path = segment_path(id);
-  std::error_code ec;
-  const bool fresh = !std::filesystem::exists(path, ec);
-  if (auto s = write_file(path, record, "ab"); !s.is_ok()) return s;
-  if (fresh) fsync_dir(dir_);  // the first append also creates the file
+  if (open_fd_ < 0 || open_id_ != id) {
+    close_open_segment_locked();
+    const std::string path = segment_path(id);
+    constexpr int kFlags = O_WRONLY | O_APPEND | O_CLOEXEC;
+    int fd = ::open(path.c_str(), kFlags | O_CREAT | O_EXCL, 0666);
+    const bool created = fd >= 0;
+    if (!created && errno == EEXIST) fd = ::open(path.c_str(), kFlags);
+    if (fd < 0) {
+      return Status::error(ErrorCode::kInternal, "cannot open " + path);
+    }
+    if (created) fsync_dir(dir_);  // the new file's entry must be durable too
+    open_fd_ = fd;
+    open_id_ = id;
+  }
+  if (!write_and_sync(open_fd_, record)) {
+    return Status::error(ErrorCode::kInternal,
+                         "short write to " + segment_path(id));
+  }
   return Status::ok();
 }
 
@@ -197,6 +219,7 @@ Result<Bytes> FileWalStorage::read_segment(std::uint64_t id) const {
 
 Status FileWalStorage::remove_segment(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (open_id_ == id) close_open_segment_locked();
   std::error_code ec;
   std::filesystem::remove(segment_path(id), ec);
   return Status::ok();
@@ -207,7 +230,14 @@ Status FileWalStorage::put_blob(const std::string& name, BytesView data) {
   // Write-then-rename so a crash mid-write never tears an existing blob.
   const std::string path = blob_path(name);
   const std::string tmp = path + ".tmp";
-  if (auto s = write_file(tmp, data, "wb"); !s.is_ok()) return s;
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::error(ErrorCode::kInternal, "cannot open " + tmp);
+  const bool written = write_and_sync(fd, data);
+  (void)::close(fd);
+  if (!written) {
+    return Status::error(ErrorCode::kInternal, "short write to " + tmp);
+  }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) return Status::error(ErrorCode::kInternal, "rename " + path);
@@ -258,6 +288,7 @@ void Wal::scan_existing_segments() {
   for (const auto seg_id : storage_.list_segments()) {
     auto data = storage_.read_segment(seg_id);
     if (!data || data.value().empty()) continue;
+    if (seg_id != segment_id_) sealed_bytes_ += data.value().size();
     std::uint32_t records = 0;
     Reader r(as_view(data.value()));
     while (!r.exhausted()) {
@@ -345,11 +376,16 @@ void Wal::rotate() {
   ++segment_seq_;
   segment_id_ = make_segment_id(segment_seq_);
   record_index_ = 0;
+  sealed_bytes_ += segment_bytes_;
   segment_bytes_ = 0;
   ++segments_rotated_;
 }
 
 bool Wal::should_compact() const {
+  // Compaction reseals the WHOLE store, so it waits until the log has grown
+  // by at least the last snapshot's size: the resealing cost then stays
+  // proportional to the logged bytes instead of growing with the store.
+  if (sealed_bytes_ < last_snapshot_bytes_) return false;
   // Sealed segments = everything on storage except the open one.
   std::size_t sealed = 0;
   for (const auto id : storage_.list_segments()) {
@@ -359,12 +395,16 @@ bool Wal::should_compact() const {
 }
 
 Status Wal::compact(const KvStore& kv, std::uint64_t version) {
-  const Bytes snapshot = seal_snapshot(kv, sealing_key_, version);
-  if (auto s = storage_.put_blob(kSnapshotBlob, as_view(snapshot));
+  // A store the host corrupted cannot be sealed; the segments then stay,
+  // since they may hold the only good copy of the corrupted value.
+  auto snapshot = seal_snapshot(kv, sealing_key_, version);
+  if (!snapshot) return snapshot.status();
+  if (auto s = storage_.put_blob(kSnapshotBlob, as_view(snapshot.value()));
       !s.is_ok()) {
     return s;
   }
   last_compacted_version_ = version;
+  last_snapshot_bytes_ = snapshot.value().size();
   ++compactions_;
   // Every sealed segment's entries are covered by the snapshot (it seals the
   // FULL current state). Records already in the open segment are covered
@@ -376,6 +416,7 @@ Status Wal::compact(const KvStore& kv, std::uint64_t version) {
       segment_records_.erase(id);
     }
   }
+  sealed_bytes_ = 0;
   return Status::ok();
 }
 

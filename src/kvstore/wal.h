@@ -4,12 +4,15 @@
 // The WAL makes a CLEAN restart local: the apply path buffers every KV write
 // and seals one record per batch-flush boundary (group commit) into an
 // append-only segment on UNTRUSTED storage. Segments rotate at a size
-// threshold and are compacted in the background into the existing sealed
-// snapshot format (snapshot.{h,cpp}), whose version pins to the hardware
-// rollback counter. A clean shutdown writes a rollback-pinned marker; the
-// rejoin fast path validates the marker, replays snapshot + segments locally
-// and skips the CAS attestation round-trip and the peer state stream
-// entirely. A crash leaves no marker and still takes the full §3.7 rejoin.
+// threshold; once the sealed ones hold at least `compact_segments` segments
+// and as many bytes as the last snapshot, the owner compacts them —
+// synchronously, on the replica loop, inside the group commit that rotated —
+// into the existing sealed snapshot format (snapshot.{h,cpp}), whose version
+// pins to the hardware rollback counter. A clean shutdown writes a
+// rollback-pinned marker; the rejoin fast path validates the marker, replays
+// snapshot + segments locally and skips the CAS attestation round-trip and
+// the peer state stream entirely. A crash leaves no marker and still takes
+// the full §3.7 rejoin.
 //
 // Sealing: all keys are derived from the enclave SEALING key, so only a
 // re-launched instance of the same measured binary on the same platform can
@@ -68,6 +71,8 @@ namespace recipe::kv {
 //    authentication to the sealed-record layer above. FileWalStorage
 //    fsyncs every append and blob write (and the directory on
 //    create/rename) before returning OK.
+//  * Appends go to one segment at a time in practice (the open one), so a
+//    backend may keep that segment's file open between calls.
 class WalStorage {
  public:
   virtual ~WalStorage() = default;
@@ -106,10 +111,17 @@ class MemWalStorage final : public WalStorage {
 };
 
 // Real-file backend (TcpCluster deployments): `dir` is created on demand;
-// segments are `seg-<16-hex id>.wal`, blobs are `<name>.blob`.
+// segments are `seg-<16-hex id>.wal`, blobs are `<name>.blob`. The segment
+// last appended to stays open (O_APPEND), so a group commit costs one
+// write(2) plus one fsync(2); the descriptor closes when appends move to
+// another segment, when that segment is removed, and on destruction.
 class FileWalStorage final : public WalStorage {
  public:
   explicit FileWalStorage(std::string dir);
+  ~FileWalStorage() override;
+
+  FileWalStorage(const FileWalStorage&) = delete;
+  FileWalStorage& operator=(const FileWalStorage&) = delete;
 
   std::vector<std::uint64_t> list_segments() const override;
   Status append_segment(std::uint64_t id, BytesView record) override;
@@ -124,20 +136,27 @@ class FileWalStorage final : public WalStorage {
  private:
   std::string segment_path(std::uint64_t id) const;
   std::string blob_path(const std::string& name) const;
+  void close_open_segment_locked();
 
   mutable std::mutex mu_;
   std::string dir_;
+  int open_fd_{-1};  // descriptor of segment `open_id_`, -1 when none
+  std::uint64_t open_id_{0};
 };
 
 struct WalOptions {
   // Segment rotation threshold (bytes of sealed records per segment).
   std::size_t segment_bytes = 256 * 1024;
-  // Sealed (rotated-out) segments that trigger background compaction.
+  // Sealed (rotated-out) segments needed before compaction may run. Also
+  // required: their bytes reach the size of the last snapshot this instance
+  // wrote, so resealing the full store costs at most one sealed byte per
+  // logged byte however large the store grows.
   std::size_t compact_segments = 4;
-  // Per-boot-epoch segment sequence ceiling (tests lower it); always clamped
-  // to the 20-bit field the segment-id layout reserves. Hitting it makes
-  // commit() fail hard instead of wrapping into the epoch bits (which would
-  // reuse a ChaCha20 (key, nonce) pair).
+  // Segments per boot epoch (tests lower it); always clamped to the 20-bit
+  // field the segment-id layout reserves. Hitting it makes commit() fail
+  // hard instead of wrapping into the epoch bits (which would reuse a
+  // ChaCha20 (key, nonce) pair) until the owner reopens the WAL under a
+  // fresh boot epoch.
   std::uint32_t max_segment_seq = (1u << 20) - 1;
 };
 
@@ -187,13 +206,15 @@ class Wal {
   // number of entries committed. No-op on an empty buffer.
   Result<std::size_t> commit();
 
-  // True once enough sealed segments accumulated that the owner should run
-  // compact() (the "background" compaction trigger).
+  // True once the owner should run compact(): at least `compact_segments`
+  // sealed segments, holding at least as many bytes as the last snapshot
+  // this instance wrote.
   bool should_compact() const;
 
   // Compaction: seals the FULL store state as snapshot `version` (reserved
   // from the hardware counter by the caller) and deletes every sealed
-  // segment — their entries are all covered by the snapshot.
+  // segment — their entries are all covered by the snapshot. When sealing
+  // fails (a host value failed its digest) every segment is kept.
   Status compact(const KvStore& kv, std::uint64_t version);
 
   // Version of the stored compacted snapshot: what this instance last wrote,
@@ -254,6 +275,8 @@ class Wal {
   Writer pending_;
   std::size_t pending_entries_{0};
   std::uint64_t last_compacted_version_{0};
+  std::size_t last_snapshot_bytes_{0};  // size of the last snapshot written
+  std::size_t sealed_bytes_{0};         // bytes in every non-open segment
   std::uint64_t records_committed_{0};
   std::uint64_t entries_committed_{0};
   std::uint64_t segments_rotated_{0};

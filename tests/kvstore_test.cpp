@@ -238,6 +238,53 @@ TEST(KvStore, ConfidentialDetectsCorruption) {
   EXPECT_EQ(kv.get("k").code(), ErrorCode::kIntegrityViolation);
 }
 
+// --- Verified value scan ------------------------------------------------------
+
+TEST(KvStore, ScanValuesYieldsVerifiedPlaintextInKeyOrder) {
+  KvStore kv(confidential_config());
+  kv.write("b", as_view("vb"), Timestamp{2, 1});
+  kv.write("a", as_view("va"), Timestamp{1, 1});
+  kv.write("c", as_view(""), Timestamp{3, 1});
+  std::vector<std::string> seen;
+  ASSERT_TRUE(kv.scan_values([&](std::string_view key, BytesView value,
+                                 const Timestamp& ts) {
+                  seen.push_back(std::string(key) + "=" + to_string(value) +
+                                 "@" + std::to_string(ts.counter));
+                })
+                  .is_ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{"a=va@1", "b=vb@2", "c=@3"}));
+}
+
+TEST(KvStore, ScanValuesFailsAtATamperedValue) {
+  KvStore kv;
+  kv.write("a", as_view("va"));
+  kv.write("b", as_view("vb"));
+  kv.write("c", as_view("vc"));
+  ASSERT_TRUE(kv.host_arena().corrupt(kv.host_ptr("b").value()).is_ok());
+  std::vector<std::string> seen;
+  const Status s = kv.scan_values(
+      [&](std::string_view key, BytesView, const Timestamp&) {
+        seen.emplace_back(key);
+      });
+  EXPECT_EQ(s.code(), ErrorCode::kIntegrityViolation);
+  EXPECT_EQ(seen, (std::vector<std::string>{"a"}));
+}
+
+TEST(KvStore, PayloadBytesTracksKeysAndValues) {
+  KvStore kv;
+  EXPECT_EQ(kv.payload_bytes(), 0u);
+  kv.write("key", as_view("12345"));
+  EXPECT_EQ(kv.payload_bytes(), 3u + 5u);
+  kv.write("key", as_view("12"));  // update: only the value size moves
+  EXPECT_EQ(kv.payload_bytes(), 3u + 2u);
+  kv.write("k2", as_view("abcdef"));
+  EXPECT_EQ(kv.payload_bytes(), 3u + 2u + 2u + 6u);
+  ASSERT_TRUE(kv.erase("key"));
+  EXPECT_EQ(kv.payload_bytes(), 2u + 6u);
+  kv.clear();
+  EXPECT_EQ(kv.payload_bytes(), 0u);
+}
+
 // --- Property sweep: random ops mirror a std::map model
 // -------------------------
 

@@ -46,7 +46,8 @@ TEST_F(SealedSnapshot, RoundTripRestoresEveryEntry) {
   ASSERT_TRUE(key.is_ok());
   const auto version = enclave_.advance_snapshot_version();
   ASSERT_TRUE(version.is_ok());
-  const Bytes blob = kv::seal_snapshot(store, key.value(), version.value());
+  const Bytes blob =
+      kv::seal_snapshot(store, key.value(), version.value()).value();
 
   // The manifest is readable (for logging), the body is not plaintext.
   const auto manifest = kv::peek_snapshot_manifest(as_view(blob));
@@ -67,6 +68,21 @@ TEST_F(SealedSnapshot, RoundTripRestoresEveryEntry) {
   EXPECT_EQ(to_string(as_view(restored.get("c").value().value)), "vc");
 }
 
+TEST_F(SealedSnapshot, CorruptedHostValueFailsTheSeal) {
+  // A value that fails its enclave digest must fail the whole seal: a
+  // snapshot that silently skipped it would lose the key for good once
+  // compaction deletes the log segments that still hold the good copy.
+  kv::KvStore store;
+  store.write("a", as_view("va"), kv::Timestamp{1, 0});
+  store.write("b", as_view("vb"), kv::Timestamp{2, 0});
+  ASSERT_TRUE(store.host_arena().corrupt(store.host_ptr("b").value()).is_ok());
+  const auto key = enclave_.sealing_key().value();
+  const auto version = enclave_.advance_snapshot_version().value();
+  auto blob = kv::seal_snapshot(store, key, version);
+  ASSERT_FALSE(blob.is_ok());
+  EXPECT_EQ(blob.status().code(), ErrorCode::kIntegrityViolation);
+}
+
 TEST_F(SealedSnapshot, OtherEnclaveCannotUnseal) {
   // The sealing key binds the enclave identity (per-machine fuses): another
   // replica of the SAME binary must not open this node's snapshot — the
@@ -76,7 +92,7 @@ TEST_F(SealedSnapshot, OtherEnclaveCannotUnseal) {
   store.write("k", as_view("v"), kv::Timestamp{1, 0});
   const auto key_a = enclave_.sealing_key().value();
   const auto version = enclave_.advance_snapshot_version().value();
-  const Bytes blob = kv::seal_snapshot(store, key_a, version);
+  const Bytes blob = kv::seal_snapshot(store, key_a, version).value();
 
   tee::Enclave other(platform_, "recipe-replica", 43);  // same measurement
   const auto key_b = other.sealing_key().value();
@@ -92,7 +108,7 @@ TEST_F(SealedSnapshot, TamperedBlobIsRejected) {
   store.write("a", as_view("va"), kv::Timestamp{1, 0});
   const auto key = enclave_.sealing_key().value();
   const auto version = enclave_.advance_snapshot_version().value();
-  Bytes blob = kv::seal_snapshot(store, key, version);
+  Bytes blob = kv::seal_snapshot(store, key, version).value();
 
   for (const std::size_t offset :
        {std::size_t{0}, blob.size() / 2, blob.size() - 1}) {
@@ -117,11 +133,11 @@ TEST_F(SealedSnapshot, RollbackToOlderVersionIsRejected) {
   store.write("k", as_view("old"), kv::Timestamp{1, 0});
   const auto key = enclave_.sealing_key().value();
   const auto v1 = enclave_.advance_snapshot_version().value();
-  const Bytes blob_v1 = kv::seal_snapshot(store, key, v1);
+  const Bytes blob_v1 = kv::seal_snapshot(store, key, v1).value();
 
   store.write("k", as_view("new"), kv::Timestamp{2, 0});
   const auto v2 = enclave_.advance_snapshot_version().value();
-  const Bytes blob_v2 = kv::seal_snapshot(store, key, v2);
+  const Bytes blob_v2 = kv::seal_snapshot(store, key, v2).value();
   ASSERT_GT(v2, v1);
 
   // The hardware counter is at v2: the old (validly sealed!) blob must be
@@ -146,7 +162,7 @@ TEST_F(SealedSnapshot, SealingKeySurvivesEnclaveRestart) {
   store.write("k", as_view("v"), kv::Timestamp{1, 0});
   const auto key_before = enclave_.sealing_key().value();
   const auto version = enclave_.advance_snapshot_version().value();
-  const Bytes blob = kv::seal_snapshot(store, key_before, version);
+  const Bytes blob = kv::seal_snapshot(store, key_before, version).value();
 
   enclave_.crash();
   EXPECT_FALSE(enclave_.sealing_key().is_ok()) << "crashed enclave must refuse";
@@ -593,6 +609,44 @@ TEST(Rejoin, CleanShutdownWarmRestartSkipsCasAndPeerStream) {
   ASSERT_TRUE(cluster.put(client, NodeId{2}, "post-restart", "pv").ok);
   cluster.run_for(sim::kSecond);
   EXPECT_TRUE(cluster.node(1).kv().contains("post-restart"));
+}
+
+// A value the host corrupted in one replica's arena must not cost that
+// replica the key across a clean restart. Compaction used to seal the store
+// without the entry that failed its digest and then delete the segments
+// holding its good copy, so the warm restart's replay answered not-found.
+TEST(Rejoin, CorruptedValueSurvivesCompactionAndWarmRestart) {
+  typename Cluster<protocols::AbdNode>::Config config;
+  config.with_cas = true;
+  config.durable_wal = true;
+  config.wal.segment_bytes = 256;  // rotate often so compaction comes due
+  config.wal.compact_segments = 2;
+  config.heartbeat_period = 10 * sim::kMillisecond;
+  Cluster<protocols::AbdNode> cluster(config);
+  cluster.build();
+  auto& client = cluster.add_client();
+  ASSERT_TRUE(cluster.put(client, NodeId{1}, "victim", "good-value").ok);
+  const auto ptr = cluster.node(1).kv().host_ptr("victim");
+  ASSERT_TRUE(ptr.has_value());
+  ASSERT_TRUE(cluster.node(1).kv().host_arena().corrupt(*ptr).is_ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(cluster.put(client, NodeId{1}, "key" + std::to_string(i),
+                            "value-" + std::to_string(i))
+                    .ok);
+  }
+  // Compaction came due and failed: the sealed segments are all still there.
+  auto* storage = cluster.wal_storage(1);
+  ASSERT_NE(storage, nullptr);
+  EXPECT_GT(storage->list_segments().size(), config.wal.compact_segments);
+
+  ASSERT_TRUE(cluster.shutdown_clean(1).is_ok());
+  cluster.run_for(100 * sim::kMillisecond);
+  auto report = cluster.rejoin(1, NodeId{1});
+  ASSERT_TRUE(report.is_ok()) << report.status().message();
+  EXPECT_TRUE(report.value().warm_restart);
+  auto got = cluster.node(1).kv().get("victim");
+  ASSERT_TRUE(got.is_ok()) << "the warm restart lost the corrupted key";
+  EXPECT_EQ(to_string(as_view(got.value().value)), "good-value");
 }
 
 // An UNSECURED node handed WAL storage must never grow a WAL on any restart

@@ -1,8 +1,13 @@
-// Sealed group-commit WAL: record codec, group commit, rotation, compaction,
-// replay idempotence, Byzantine-host tampering, the rollback-pinned clean
-// marker and the B.1 counter vault.
+// Sealed group-commit WAL: record codec, group commit, rotation, compaction
+// and its trigger, replay idempotence, Byzantine-host tampering, the
+// rollback-pinned clean marker, the B.1 counter vault, and the storage
+// contract both backends (memory, files) must keep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -150,6 +155,92 @@ TEST(Wal, CompactionFoldsSealedSegmentsIntoSnapshot) {
   EXPECT_EQ(replay.value().log_entries, 1u);
   EXPECT_EQ(restored.size(), kv.size());
   EXPECT_EQ(to_string(as_view(restored.get("after").value().value)), "x");
+}
+
+// Sum of the bytes in every segment but the open one.
+std::size_t sealed_bytes(MemWalStorage& storage, const Wal& wal) {
+  std::size_t bytes = 0;
+  for (const std::uint64_t id : storage.list_segments()) {
+    if (id != wal.open_segment()) bytes += storage.mutable_segment(id)->size();
+  }
+  return bytes;
+}
+
+// Compaction reseals the whole store, so once this instance has written a
+// snapshot the trigger waits for the sealed log to reach that snapshot's
+// size — the segment count alone (the floor) is not enough.
+TEST(Wal, CompactionWaitsForSealedBytesToReachTheSnapshot) {
+  MemWalStorage storage;
+  WalOptions options;
+  options.segment_bytes = 256;
+  options.compact_segments = 2;
+  Wal wal(storage, kSealKey, 1, options);
+
+  KvStore kv;
+  const std::string value(64, 'v');
+  std::uint64_t c = 0;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(kv.write("key" + std::to_string(i), as_view(value), ts(++c)));
+  }
+  ASSERT_TRUE(wal.compact(kv, /*version=*/1).is_ok());
+  const std::size_t snapshot_bytes =
+      storage.mutable_blob("wal-snapshot")->size();
+  ASSERT_GT(snapshot_bytes, options.compact_segments * options.segment_bytes);
+
+  bool floor_reached = false;
+  while (sealed_bytes(storage, wal) < snapshot_bytes) {
+    EXPECT_FALSE(wal.should_compact()) << "sealed "
+                                       << sealed_bytes(storage, wal);
+    floor_reached |=
+        storage.list_segments().size() > options.compact_segments;
+    const std::string key = "key" + std::to_string(c % 100);
+    ASSERT_TRUE(kv.write(key, as_view(value), ts(++c)));
+    wal.append(key, as_view(value), ts(c));
+    ASSERT_TRUE(wal.commit().is_ok());
+    ASSERT_LT(c, 100000u) << "the log never reached the snapshot size";
+  }
+  EXPECT_TRUE(floor_reached) << "the segment floor alone would have fired";
+  EXPECT_TRUE(wal.should_compact());
+}
+
+// A value the host corrupted fails the seal, and compaction then keeps every
+// segment: they may hold the only good copy, which replay still restores.
+TEST(Wal, CompactionOverACorruptedValueKeepsEverySegment) {
+  MemWalStorage storage;
+  WalOptions options;
+  options.segment_bytes = 128;
+  options.compact_segments = 2;
+  Wal wal(storage, kSealKey, 1, options);
+
+  KvStore kv;
+  std::uint64_t c = 0;
+  while (!wal.should_compact()) {
+    const std::string key = "key" + std::to_string(c % 16);
+    ASSERT_TRUE(kv.write(key, as_view("payload-payload"), ts(++c)));
+    wal.append(key, as_view("payload-payload"), ts(c));
+    ASSERT_TRUE(wal.commit().is_ok());
+    ASSERT_LT(c, 10000u) << "compaction threshold never reached";
+  }
+  const auto segments = storage.list_segments();
+  const SegmentManifest manifest = wal.manifest();
+  ASSERT_TRUE(kv.host_arena().corrupt(kv.host_ptr("key3").value()).is_ok());
+
+  const Status compacted = wal.compact(kv, /*version=*/7);
+  ASSERT_FALSE(compacted.is_ok());
+  EXPECT_EQ(compacted.code(), ErrorCode::kIntegrityViolation);
+  EXPECT_EQ(storage.list_segments(), segments);
+  EXPECT_EQ(wal.manifest(), manifest);
+  EXPECT_EQ(storage.mutable_blob("wal-snapshot"), nullptr);
+  EXPECT_EQ(wal.compacted_version(), 0u);
+  EXPECT_EQ(wal.compactions(), 0u);
+  EXPECT_TRUE(wal.should_compact()) << "compaction stays due";
+
+  KvStore restored;
+  ASSERT_TRUE(wal.replay(restored, 0, &manifest).is_ok());
+  auto good = restored.get("key3");
+  ASSERT_TRUE(good.is_ok());
+  EXPECT_EQ(to_string(as_view(good.value().value)), "payload-payload");
+  EXPECT_EQ(good.value().timestamp, kv.timestamp("key3").value());
 }
 
 TEST(Wal, TamperedRecordFailsReplay) {
@@ -405,6 +496,147 @@ TEST(Wal, MissingMarkerIsACrash) {
   auto marker = wal.read_clean_marker(1);
   ASSERT_FALSE(marker.is_ok());
   EXPECT_EQ(marker.status().code(), ErrorCode::kNotFound);
+}
+
+// --- WalStorage contract, run over both backends ---------------------------
+
+class WalStorageContract : public ::testing::TestWithParam<bool> {
+ protected:
+  bool files() const { return GetParam(); }
+
+  void SetUp() override {
+    if (files()) {
+      // Relative to the test's working directory (the build tree).
+      std::string name =
+          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+      std::replace(name.begin(), name.end(), '/', '_');
+      dir_ = "wal_dumps/storage_contract/" + name;
+      std::filesystem::remove_all(dir_);
+      storage_ = std::make_unique<FileWalStorage>(dir_);
+    } else {
+      storage_ = std::make_unique<MemWalStorage>();
+    }
+  }
+
+  WalStorage& storage() { return *storage_; }
+
+  static Bytes read(const WalStorage& s, std::uint64_t id) {
+    auto data = s.read_segment(id);
+    EXPECT_TRUE(data.is_ok()) << "segment " << id;
+    return data ? data.value() : Bytes{};
+  }
+
+  std::string dir_;
+  std::unique_ptr<WalStorage> storage_;
+};
+
+Bytes concat(std::initializer_list<std::string_view> parts) {
+  Bytes out;
+  for (const auto part : parts) append(out, as_view(part));
+  return out;
+}
+
+TEST_P(WalStorageContract, AppendsAcrossRotation) {
+  ASSERT_TRUE(storage().append_segment(1, as_view("r1")).is_ok());
+  ASSERT_TRUE(storage().append_segment(1, as_view("r2")).is_ok());
+  ASSERT_TRUE(storage().append_segment(2, as_view("r3")).is_ok());
+  // Back to an earlier segment: appends land after its existing bytes.
+  ASSERT_TRUE(storage().append_segment(1, as_view("r4")).is_ok());
+  ASSERT_TRUE(storage().append_segment(2, as_view("r5")).is_ok());
+
+  EXPECT_EQ(storage().list_segments(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(read(storage(), 1), concat({"r1", "r2", "r4"}));
+  EXPECT_EQ(read(storage(), 2), concat({"r3", "r5"}));
+  EXPECT_EQ(storage().read_segment(3).status().code(), ErrorCode::kNotFound);
+}
+
+TEST_P(WalStorageContract, RemovedOpenSegmentRestartsEmpty) {
+  ASSERT_TRUE(storage().append_segment(5, as_view("old")).is_ok());
+  ASSERT_TRUE(storage().remove_segment(5).is_ok());
+  EXPECT_TRUE(storage().list_segments().empty());
+  EXPECT_EQ(storage().read_segment(5).status().code(), ErrorCode::kNotFound);
+
+  ASSERT_TRUE(storage().append_segment(5, as_view("new")).is_ok());
+  EXPECT_EQ(storage().list_segments(), (std::vector<std::uint64_t>{5}));
+  EXPECT_EQ(read(storage(), 5), concat({"new"}));
+}
+
+TEST_P(WalStorageContract, PutBlobReplacesWholeBlob) {
+  EXPECT_EQ(storage().read_blob("b").status().code(), ErrorCode::kNotFound);
+  if (files()) {
+    // A temporary left behind by a crash mid-write is simply overwritten.
+    FILE* stale = std::fopen((dir_ + "/b.blob.tmp").c_str(), "wb");
+    ASSERT_NE(stale, nullptr);
+    std::fputs("stale-bytes-from-a-crashed-writer-stale-bytes", stale);
+    std::fclose(stale);
+  }
+  ASSERT_TRUE(storage().put_blob("b", as_view("a-longer-first-value")).is_ok());
+  ASSERT_TRUE(storage().put_blob("b", as_view("short")).is_ok());
+  ASSERT_TRUE(storage().read_blob("b").is_ok());
+  EXPECT_EQ(storage().read_blob("b").value(), concat({"short"}));
+  if (files()) {
+    // Written to a temporary, then renamed over the blob: nothing of the
+    // temporary is left behind.
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/b.blob.tmp"));
+    EXPECT_TRUE(std::filesystem::exists(dir_ + "/b.blob"));
+  }
+  ASSERT_TRUE(storage().remove_blob("b").is_ok());
+  EXPECT_EQ(storage().read_blob("b").status().code(), ErrorCode::kNotFound);
+}
+
+TEST_P(WalStorageContract, WalRotatesAndReplaysOverBackend) {
+  WalOptions options;
+  options.segment_bytes = 200;
+  std::size_t records = 0;
+  {
+    Wal wal(storage(), kSealKey, /*boot_epoch=*/2, options);
+    for (int i = 0; i < 30; ++i) {
+      wal.append("key" + std::to_string(i), as_view("value-value-value"),
+                 ts(static_cast<std::uint64_t>(i + 1)));
+      ASSERT_TRUE(wal.commit().is_ok());
+    }
+    EXPECT_GT(wal.segments_rotated(), 2u);
+    records = wal.records_committed();
+  }
+  Wal reopened(storage(), kSealKey, /*boot_epoch=*/3, options);
+  KvStore kv;
+  auto replay = reopened.replay(kv, 0);
+  ASSERT_TRUE(replay.is_ok());
+  EXPECT_EQ(replay.value().records, records);
+  EXPECT_EQ(kv.size(), 30u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, WalStorageContract, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "File" : "Mem";
+                         });
+
+// A fresh FileWalStorage over the same directory (a restarted process) sees
+// every record and blob the previous one wrote.
+TEST(FileWalStorage, FreshInstanceReadsBackEveryRecord) {
+  const std::string dir = "wal_dumps/storage_contract/fresh_instance";
+  std::filesystem::remove_all(dir);
+  Bytes seg1;
+  Bytes seg2;
+  {
+    FileWalStorage storage(dir);
+    for (int i = 0; i < 20; ++i) {
+      const std::string record = "record-" + std::to_string(i);
+      const std::uint64_t id = i < 12 ? 1 : 2;
+      ASSERT_TRUE(storage.append_segment(id, as_view(record)).is_ok());
+      append(id == 1 ? seg1 : seg2, as_view(record));
+    }
+    ASSERT_TRUE(storage.put_blob("meta", as_view("blob-bytes")).is_ok());
+  }
+  FileWalStorage fresh(dir);
+  EXPECT_EQ(fresh.list_segments(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(fresh.read_segment(1).value(), seg1);
+  EXPECT_EQ(fresh.read_segment(2).value(), seg2);
+  EXPECT_EQ(fresh.read_blob("meta").value(), concat({"blob-bytes"}));
+  // And it keeps appending where the previous instance stopped.
+  ASSERT_TRUE(fresh.append_segment(2, as_view("more")).is_ok());
+  append(seg2, as_view("more"));
+  EXPECT_EQ(fresh.read_segment(2).value(), seg2);
 }
 
 TEST(CounterVault, PersistsOncePerStride) {

@@ -11,12 +11,16 @@
 //     with the encrypted flag and arbitrary "ciphertext" payloads);
 //  3. ShieldedView::parse vs ShieldedMessage::parse equivalence, including
 //     rejection of truncated/trailing-garbage frames.
+// The sealed KV snapshot format is pinned the same way: a golden blob from
+// the two-pass sealer must match the single-buffer sealer and still unseal.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "attest/bundle.h"
 #include "common/serde.h"
+#include "kvstore/kvstore.h"
+#include "kvstore/snapshot.h"
 #include "recipe/security.h"
 #include "tee/platform.h"
 
@@ -100,6 +104,54 @@ TEST(WireGolden, EncryptedFlagFramingMatchesPreRefactorSerialize) {
   ASSERT_TRUE(view.is_ok());
   EXPECT_EQ(to_hex(view.value().authenticated),
             to_hex(as_view(m.authenticated_data())));
+}
+
+// Sealed KV snapshot (kv::seal_snapshot), captured from the two-pass
+// Writer-based sealer: the single-buffer sealer must emit the same bytes, and
+// a blob in that layout must still unseal.
+constexpr char kGoldenSnapshotHex[] =
+    "504e535205000000000000000300000065000000282e50eaa5fa1557b2ff7a88"
+    "0046edf627acae2d08dac86438ee6acda2aec28854bb72d505645f7202d7cca4"
+    "99664274fc430e4db28b775039d9acb07565af9d00e2f76d214473b19a9854ff"
+    "790df87524974219d619eddb7011591ded85dcb31d473a91fa4f6e0dadda5830"
+    "5ad36b5ff660bbe18ee2d0300bcee72565f3842c36d84bf8da";
+
+void fill_golden_store(kv::KvStore& store) {
+  Bytes binary;
+  for (int i = 0; i < 12; ++i) {
+    binary.push_back(static_cast<std::uint8_t>(i * 29));
+  }
+  ASSERT_TRUE(store.write("gamma", as_view(binary), kv::Timestamp{7, 2}));
+  ASSERT_TRUE(store.write("alpha", as_view("one"), kv::Timestamp{3, 1}));
+  ASSERT_TRUE(store.write("beta", BytesView{}));
+}
+
+TEST(WireGolden, SealedSnapshotMatchesTwoPassSealer) {
+  kv::KvStore store;
+  fill_golden_store(store);
+  const crypto::SymmetricKey key{Bytes(32, 0x5A)};
+  auto sealed = kv::seal_snapshot(store, key, /*version=*/5);
+  ASSERT_TRUE(sealed.is_ok());
+  EXPECT_EQ(to_hex(as_view(sealed.value())), kGoldenSnapshotHex);
+}
+
+TEST(WireGolden, GoldenSnapshotStillUnseals) {
+  const crypto::SymmetricKey key{Bytes(32, 0x5A)};
+  const Bytes golden = from_hex(kGoldenSnapshotHex);
+  kv::KvStore restored;
+  auto r = kv::unseal_snapshot(as_view(golden), key, /*expected_version=*/5,
+                               restored);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().installed, 3u);
+  kv::KvStore expected;
+  fill_golden_store(expected);
+  for (const char* k : {"alpha", "beta", "gamma"}) {
+    auto got = restored.get(k);
+    auto want = expected.get(k);
+    ASSERT_TRUE(got.is_ok()) << k;
+    EXPECT_EQ(got.value().value, want.value().value) << k;
+    EXPECT_EQ(got.value().timestamp, want.value().timestamp) << k;
+  }
 }
 
 // --- 2. randomized differential vs a reference of the old encoder -----------
