@@ -19,6 +19,7 @@
 #include <chrono>
 #include <map>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -78,8 +79,10 @@ struct SecurityPair {
       : a(enclave_a, NodeId{1}, nullptr, nullptr, cfg(confidential)),
         b(enclave_b, NodeId{2}, nullptr, nullptr, cfg(confidential)) {
     const crypto::SymmetricKey root{Bytes(32, 0x77)};
-    (void)enclave_a.install_secret(attest::kClusterRootName, root);
-    (void)enclave_b.install_secret(attest::kClusterRootName, root);
+    if (!attest::provision_preattested(enclave_a, root).is_ok() ||
+        !attest::provision_preattested(enclave_b, root).is_ok()) {
+      std::abort();
+    }
   }
   static RecipeSecurityConfig cfg(bool confidential) {
     RecipeSecurityConfig c;

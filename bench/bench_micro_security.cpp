@@ -2,6 +2,8 @@
 // (Algorithm 1) — the per-message cost of the transformation itself.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+
 #include "attest/bundle.h"
 #include "recipe/security.h"
 #include "tee/enclave.h"
@@ -18,8 +20,10 @@ struct Fixture {
   crypto::SymmetricKey root{Bytes(32, 0x77)};
 
   Fixture() {
-    (void)sender_enclave.install_secret(attest::kClusterRootName, root);
-    (void)receiver_enclave.install_secret(attest::kClusterRootName, root);
+    if (!attest::provision_preattested(sender_enclave, root).is_ok() ||
+        !attest::provision_preattested(receiver_enclave, root).is_ok()) {
+      std::abort();
+    }
   }
 
   RecipeSecurity make_policy(tee::Enclave& enclave, NodeId id,

@@ -154,8 +154,11 @@ int main(int argc, char** argv) {
   tee::Enclave enclave_a{platform, "code", 1};
   tee::Enclave enclave_b{platform, "code", 2};
   const crypto::SymmetricKey root{Bytes(32, 0x77)};
-  (void)enclave_a.install_secret(attest::kClusterRootName, root);
-  (void)enclave_b.install_secret(attest::kClusterRootName, root);
+  if (!attest::provision_preattested(enclave_a, root).is_ok() ||
+      !attest::provision_preattested(enclave_b, root).is_ok()) {
+    std::fprintf(stderr, "secret provisioning failed\n");
+    return 1;
+  }
 
   std::vector<Row> rows;
   for (bool confidential : {false, true}) {

@@ -248,10 +248,8 @@ ScalingResult run_scaling_trial(unsigned shards, bool secured, bool batched,
           std::make_unique<tee::Enclave>(platform, "code", 600 + i);
       s->server_enclave =
           std::make_unique<tee::Enclave>(platform, "code", 500 + i);
-      if (!s->client_enclave->install_secret(attest::kClusterRootName, root)
-               .is_ok() ||
-          !s->server_enclave->install_secret(attest::kClusterRootName, root)
-               .is_ok()) {
+      if (!attest::provision_preattested(*s->client_enclave, root).is_ok() ||
+          !attest::provision_preattested(*s->server_enclave, root).is_ok()) {
         std::abort();
       }
       s->client_sec = std::make_unique<RecipeSecurity>(

@@ -3,6 +3,7 @@
 //   1. native CFT  -> silently corrupted replicas;
 //   2. R-ABD       -> every attack detected and rejected.
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -30,7 +31,7 @@ struct Deployment {
     for (NodeId id : membership) {
       auto enclave =
           std::make_unique<tee::Enclave>(platform, "recipe-replica", id.value);
-      (void)enclave->install_secret(attest::kClusterRootName, root);
+      if (!attest::provision_preattested(*enclave, root).is_ok()) std::abort();
       ReplicaOptions options;
       options.self = id;
       options.membership = membership;
@@ -44,7 +45,9 @@ struct Deployment {
 
     client_enclave = std::make_unique<tee::Enclave>(platform, "recipe-client",
                                                     2000);
-    (void)client_enclave->install_secret(attest::kClusterRootName, root);
+    if (!attest::provision_preattested(*client_enclave, root).is_ok()) {
+      std::abort();
+    }
     ClientOptions options;
     options.id = ClientId{2000};
     options.secured = secured;

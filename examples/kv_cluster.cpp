@@ -41,7 +41,7 @@ int main() {
   for (NodeId id : membership) {
     auto enclave =
         std::make_unique<tee::Enclave>(platform, "recipe-replica", id.value);
-    (void)enclave->install_secret(attest::kClusterRootName, root);
+    if (!attest::provision_preattested(*enclave, root).is_ok()) return 1;
     ReplicaOptions options;
     options.self = id;
     options.membership = membership;
@@ -59,7 +59,7 @@ int main() {
   for (std::uint64_t c = 0; c < 4; ++c) {
     auto enclave =
         std::make_unique<tee::Enclave>(platform, "recipe-client", 2000 + c);
-    (void)enclave->install_secret(attest::kClusterRootName, root);
+    if (!attest::provision_preattested(*enclave, root).is_ok()) return 1;
     ClientOptions options;
     options.id = ClientId{2000 + c};
     options.secured = true;

@@ -36,7 +36,9 @@ int main() {
   for (NodeId id : membership) {
     auto enclave =
         std::make_unique<tee::Enclave>(platform, "recipe-replica", id.value);
-    (void)enclave->install_secret(attest::kClusterRootName, cluster_root);
+    if (!attest::provision_preattested(*enclave, cluster_root).is_ok()) {
+      return 1;
+    }
 
     ReplicaOptions options;
     options.self = id;
@@ -53,7 +55,9 @@ int main() {
 
   // --- An attested client. --------------------------------------------------
   tee::Enclave client_enclave(platform, "recipe-client", 2000);
-  (void)client_enclave.install_secret(attest::kClusterRootName, cluster_root);
+  if (!attest::provision_preattested(client_enclave, cluster_root).is_ok()) {
+    return 1;
+  }
   ClientOptions client_options;
   client_options.id = ClientId{2000};
   client_options.secured = true;

@@ -162,10 +162,10 @@ crypto::SymmetricKey demo_value_key() {
 
 void provision(tee::Enclave& enclave, const Args& args) {
   if (!args.secured) return;
-  if (!enclave.install_secret(attest::kClusterRootName, demo_root()).is_ok() ||
-      (args.confidential &&
-       !enclave.install_secret(attest::kValueKeyName, demo_value_key())
-            .is_ok())) {
+  const crypto::SymmetricKey value_key = demo_value_key();
+  if (!attest::provision_preattested(enclave, demo_root(),
+                                     args.confidential ? &value_key : nullptr)
+           .is_ok()) {
     std::fprintf(stderr, "secret provisioning failed\n");
     std::exit(1);
   }

@@ -11,6 +11,14 @@ std::string channel_secret_name(NodeId a, NodeId b) {
   return "chan/" + std::to_string(lo) + ":" + std::to_string(hi);
 }
 
+Status provision_preattested(tee::Enclave& enclave,
+                             const crypto::SymmetricKey& root,
+                             const crypto::SymmetricKey* value_key) {
+  const Status installed = enclave.install_secret(kClusterRootName, root);
+  if (!installed.is_ok() || value_key == nullptr) return installed;
+  return enclave.install_secret(kValueKeyName, *value_key);
+}
+
 Bytes SecretsBundle::serialize() const {
   Writer w;
   w.id(assigned_id);

@@ -60,4 +60,12 @@ Result<ProvisionInfo> open_and_install_bundle(tee::Enclave& enclave,
                                               BytesView sealed,
                                               BytesView context);
 
+// Pre-attested fast path: installs the cluster root (and, when `value_key`
+// is non-null, the confidentiality value key) straight into `enclave`. The
+// caller stands in for the CAS — deployments that hold the cluster root
+// already (bootstrap harnesses, in-process clusters) skip the DH exchange.
+Status provision_preattested(tee::Enclave& enclave,
+                             const crypto::SymmetricKey& root,
+                             const crypto::SymmetricKey* value_key = nullptr);
+
 }  // namespace recipe::attest

@@ -40,17 +40,28 @@ Result<ShardId> ShardedCluster::add_shard(const std::string& protocol) {
   ShardGroupOptions group_options;
   group_options.protocol =
       protocol.empty() ? options_.default_protocol : protocol;
-  group_options.num_replicas = options_.replicas_per_shard;
   group_options.base_id = options_.first_base_id + id * options_.id_stride;
-  group_options.secured = options_.secured;
-  group_options.confidentiality = options_.confidentiality;
-  group_options.heartbeat_period = options_.heartbeat_period;
-  group_options.cost_model = options_.cost_model;
+  ReplicaOptions& replica = group_options.replica;
+  replica.secured = options_.secured;
+  replica.confidentiality = options_.confidentiality;
+  replica.heartbeat_period = options_.heartbeat_period;
+  replica.cost_model = options_.cost_model;
+  replica.stack = options_.secured ? net::NetStackParams::direct_io_tee()
+                                   : net::NetStackParams::direct_io_native();
   group_options.root = options_.root;
   group_options.value_key = options_.value_key;
 
-  auto group = ShardGroup::create(simulator_, network_, platform_,
-                                  std::move(group_options));
+  // Fresh-node notice to the registered clients: a recovered replica's
+  // counters restart from 1, so a client keeping its old replay window
+  // would reject every post-recovery reply as a duplicate.
+  auto group = ShardGroup::create(
+      std::vector<ReplicaHost>(options_.replicas_per_shard,
+                               ReplicaHost{simulator_, network_, platform_}),
+      std::move(group_options), [this](NodeId fresh) {
+        for (const auto& [token, listener] : fresh_listeners_) {
+          listener(fresh);
+        }
+      });
   if (!group) return group.status();
   ++next_shard_id_;
 
@@ -142,22 +153,16 @@ Status ShardedCluster::recover_replica(ShardId shard, std::size_t index) {
   if (entry == nullptr) {
     return Status::error(ErrorCode::kNotFound, "no such shard");
   }
-  if (index < entry->group->size()) {
-    // Fresh-node notice to the registered clients: the rejoiner's counters
-    // restart from 1, so a client keeping its old replay window would
-    // reject every post-recovery reply as a duplicate.
-    const NodeId fresh = entry->group->replica(index).self();
-    for (const auto& [token, listener] : fresh_listeners_) listener(fresh);
-  }
   auto progress = std::make_shared<HandoffProgress>();
   auto result = std::make_shared<Status>(Status::ok());
-  entry->group->recover_replica(index,
-                                [progress, result](Result<std::size_t> r) {
+  entry->group->recover_replica(index, std::nullopt,
+                                [progress, result](Result<bool> r) {
                                   if (!r) *result = r.status();
                                   progress->complete = true;
                                 });
   drive(progress->complete, options_.handoff_timeout);
   if (!progress->complete) {
+    entry->group->abandon_recovery(index);
     return Status::error(ErrorCode::kTimeout, "replica recovery timed out");
   }
   return *result;

@@ -74,9 +74,10 @@ class ShardedCluster {
 
   // Replica replacement: crash-recover replica `index` of `shard` through
   // the shared §3.7 shadow machinery (ShardGroup::recover_replica) and
-  // drive the simulator until it promoted (or the handoff timeout passed).
-  // Fresh-node listeners fire first, so client-side channel state resets
-  // before the recovered replica's restarted counters reach them.
+  // drive the simulator until it promoted (or the handoff timeout passed,
+  // which abandons the recovery). Fresh-node listeners fire before the
+  // shadow join, so client-side channel state resets before the recovered
+  // replica's restarted counters reach them.
   Status recover_replica(ShardId shard, std::size_t index);
 
   // The pre-attested fast path's analog of the CAS fresh-node notice

@@ -1,5 +1,7 @@
 #include "cluster/routed_client.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "attest/bundle.h"
@@ -16,9 +18,13 @@ RoutedClient::RoutedClient(ShardedCluster& cluster, RoutedClientOptions options)
   enclave_ = std::make_unique<tee::Enclave>(cluster_.platform(),
                                             "recipe-client", options_.id);
   if (copts.secured) {
-    (void)enclave_->install_secret(attest::kClusterRootName, copts.root);
-    if (copts.confidentiality) {
-      (void)enclave_->install_secret(attest::kValueKeyName, copts.value_key);
+    const Status provisioned = attest::provision_preattested(
+        *enclave_, copts.root,
+        copts.confidentiality ? &copts.value_key : nullptr);
+    if (!provisioned.is_ok()) {
+      std::fprintf(stderr, "RoutedClient: provisioning failed: %s\n",
+                   provisioned.message().c_str());
+      std::abort();
     }
   }
   ClientOptions client_options;

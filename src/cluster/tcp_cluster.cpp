@@ -1,13 +1,13 @@
 #include "cluster/tcp_cluster.h"
 
-#include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <thread>
 
-#include "cluster/registry.h"
+#include "attest/bundle.h"
 #include "obs/flight_recorder.h"
-#include "recipe/recovery.h"
 
 namespace recipe::cluster {
 
@@ -17,15 +17,23 @@ constexpr const char* kLoopback = "127.0.0.1";
 std::chrono::nanoseconds chrono_ns(sim::Time t) {
   return std::chrono::nanoseconds(t);
 }
+
+// Construction failures abort with their Status in every build type: the
+// constructor has no error channel, and a compiled-out assert would let an
+// unknown protocol or an unbound port fail later, far from the cause.
+void require(const Status& status, const char* what) {
+  if (status.is_ok()) return;
+  std::fprintf(stderr, "TcpCluster: %s: %s\n", what,
+               status.message().c_str());
+  std::abort();
+}
 }  // namespace
 
 TcpCluster::TcpCluster(TcpClusterOptions options)
     : options_(std::move(options)) {
-  const auto* factory = ProtocolRegistry::instance().find(options_.protocol);
-  assert(factory != nullptr && "unknown protocol");
-
+  std::vector<NodeId> ids;
   for (std::size_t i = 0; i < options_.replicas; ++i) {
-    membership_.push_back(NodeId{options_.first_id + i});
+    ids.push_back(NodeId{options_.first_id + i});
   }
 
   // Registries first: every component below registers series into them (or
@@ -49,15 +57,13 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
     transport_options.transport.metrics = metrics_[i].get();
     transports_.push_back(
         std::make_unique<transport::ShardedTcpTransport>(transport_options));
-    const Status pinned = transports_.back()->pin_home(membership_[i], 0);
-    assert(pinned.is_ok());
-    (void)pinned;
+    require(transports_.back()->pin_home(ids[i], 0), "pin_home");
     const std::uint16_t want =
         options_.base_port == 0
             ? 0
             : static_cast<std::uint16_t>(options_.base_port + i);
-    auto port = transports_.back()->listen(membership_[i], want);
-    assert(port.is_ok() && "listen failed");
+    auto port = transports_.back()->listen(ids[i], want);
+    require(port.status(), "listen");
     ports[i] = port.value();
   }
   transport_options.transport.metrics = client_metrics_.get();
@@ -66,15 +72,11 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
   for (std::size_t i = 0; i < options_.replicas; ++i) {
     for (std::size_t j = 0; j < options_.replicas; ++j) {
       if (i == j) continue;
-      const Status routed =
-          transports_[i]->add_route(membership_[j], kLoopback, ports[j]);
-      assert(routed.is_ok());
-      (void)routed;
+      require(transports_[i]->add_route(ids[j], kLoopback, ports[j]),
+              "add_route");
     }
-    const Status routed =
-        client_transport_->add_route(membership_[i], kLoopback, ports[i]);
-    assert(routed.is_ok());
-    (void)routed;
+    require(client_transport_->add_route(ids[i], kLoopback, ports[i]),
+            "add_route");
   }
 
   // Chaos: wrap every transport before any node or client attaches, so the
@@ -107,60 +109,49 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
         *client_transport_, std::move(chaos_options));
   }
 
-  // Build and start every replica ON ITS OWN LOOP THREAD so its endpoint
-  // state is loop-affine from the first instruction (packets can arrive the
-  // moment the rpc object attaches).
+  // The group: replica i runs on its transport's shard-0 loop, under its
+  // own TEE platform (its own rollback counter) and, with durable_wal, its
+  // own log directory — keyed by the (unique per instance) listen port so
+  // concurrent clusters in one process never share logs.
+  std::vector<ReplicaHost> hosts;
   for (std::size_t i = 0; i < options_.replicas; ++i) {
     platforms_.push_back(std::make_unique<tee::TeePlatform>(1));
-    enclaves_.push_back(nullptr);
-    nodes_.push_back(nullptr);
-    if (options_.durable_wal && options_.secured) {
-      // One directory per replica, keyed by the (unique per instance)
-      // listen port so concurrent clusters in one process never share logs.
-      wal_storage_.push_back(std::make_unique<kv::FileWalStorage>(
-          options_.wal_dir + "/p" + std::to_string(ports[i])));
-    } else {
-      wal_storage_.push_back(nullptr);
-    }
-    transports_[i]->run_sync([this, i, factory] {
-      auto enclave = std::make_unique<tee::Enclave>(
-          *platforms_[i], "recipe-replica", membership_[i].value);
-      if (options_.secured) {
-        auto ok = enclave->install_secret(attest::kClusterRootName,
-                                          options_.root);
-        assert(ok.is_ok());
-        if (options_.confidentiality) {
-          ok = enclave->install_secret(attest::kValueKeyName,
-                                       options_.value_key);
-          assert(ok.is_ok());
-        }
-      }
-
-      ReplicaOptions replica_options;
-      replica_options.self = membership_[i];
-      replica_options.membership = membership_;
-      replica_options.secured = options_.secured;
-      replica_options.confidentiality = options_.confidentiality;
-      replica_options.enclave = enclave.get();
-      replica_options.heartbeat_period = options_.heartbeat_period;
-      replica_options.suspect_timeout = options_.suspect_timeout;
-      replica_options.phi_threshold = options_.phi_threshold;
-      replica_options.batch = options_.batch;
-      if (options_.confidentiality) {
-        replica_options.kv_config.value_encryption_key = options_.value_key;
-      }
-      if (wal_storage_[i] != nullptr) {
-        replica_options.wal_storage = wal_storage_[i].get();
-        replica_options.wal = options_.wal;
-      }
-      replica_options.metrics = metrics_[i].get();
-
-      enclaves_[i] = std::move(enclave);
-      nodes_[i] = (*factory)(transports_[i]->clock(), node_transport(i),
-                             std::move(replica_options));
-      nodes_[i]->start();
-    });
+    wal_storage_.push_back(
+        options_.durable_wal && options_.secured
+            ? std::make_unique<kv::FileWalStorage>(
+                  options_.wal_dir + "/p" + std::to_string(ports[i]))
+            : nullptr);
+    transport::ShardedTcpTransport* loop = transports_[i].get();
+    hosts.push_back(ReplicaHost{
+        loop->clock(), node_transport(i), *platforms_[i],
+        [loop](const std::function<void()>& fn) { loop->run_sync(fn); },
+        wal_storage_[i].get(), metrics_[i].get()});
   }
+  ShardGroupOptions group_options;
+  group_options.protocol = options_.protocol;
+  group_options.base_id = options_.first_id;
+  group_options.root = options_.root;
+  group_options.value_key = options_.value_key;
+  ReplicaOptions& replica = group_options.replica;
+  replica.secured = options_.secured;
+  replica.confidentiality = options_.confidentiality;
+  replica.heartbeat_period = options_.heartbeat_period;
+  replica.suspect_timeout = options_.suspect_timeout;
+  replica.phi_threshold = options_.phi_threshold;
+  replica.batch = options_.batch;
+  if (options_.durable_wal && options_.secured) replica.wal = options_.wal;
+  // A rejoiner's fresh counters must not hit a client's old replay window:
+  // each client forgets the node on its own home loop.
+  auto group = ShardGroup::create(
+      std::move(hosts), std::move(group_options), [this](NodeId fresh) {
+        for (std::size_t c = 0; c < clients_.size(); ++c) {
+          client_home(c).run_sync([this, c, fresh] {
+            clients_[c]->security().reset_peer(fresh);
+          });
+        }
+      });
+  require(group.status(), "replica group");
+  group_ = std::move(group.value());
 
   // Admin endpoints last: they scrape the registries from their own serve
   // threads, so everything they read must already be registered.
@@ -172,8 +163,7 @@ TcpCluster::TcpCluster(TcpClusterOptions options)
                                              static_cast<int>(i);
       admin_options.metrics = metrics_[i].get();
       admin_options.recorder = &obs::FlightRecorder::global();
-      admin_options.name =
-          "replica-" + std::to_string(membership_[i].value);
+      admin_options.name = "replica-" + std::to_string(ids[i].value);
       admin_.push_back(std::make_unique<obs::AdminServer>(admin_options));
     }
   }
@@ -200,13 +190,9 @@ TcpCluster::~TcpCluster() {
   }
   clients_.clear();
   client_enclaves_.clear();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    transports_[i]->run_sync([this, i] {
-      nodes_[i].reset();
-      enclaves_[i].reset();
-    });
-  }
-  // Transports (and their loop threads) die with the vector.
+  // Each replica dies on its own loop; transports (and their loop threads)
+  // die with the vector after it.
+  group_.reset();
 }
 
 KvClient& TcpCluster::add_client(std::uint64_t client_id) {
@@ -216,22 +202,16 @@ KvClient& TcpCluster::add_client(std::uint64_t client_id) {
   // and every later touch marshals through client_home().
   const std::size_t home =
       clients_.size() % client_transport_->shard_count();
-  const Status pinned = client_transport_->pin_home(NodeId{client_id}, home);
-  assert(pinned.is_ok());
-  (void)pinned;
+  require(client_transport_->pin_home(NodeId{client_id}, home), "pin_home");
   client_homes_.push_back(home);
   client_transport_->shard(home).run_sync([this, client_id, home, &out] {
     auto enclave = std::make_unique<tee::Enclave>(client_platform_,
                                                   "recipe-client", client_id);
     if (options_.secured) {
-      auto ok = enclave->install_secret(attest::kClusterRootName,
-                                        options_.root);
-      assert(ok.is_ok());
-      if (options_.confidentiality) {
-        ok = enclave->install_secret(attest::kValueKeyName,
-                                     options_.value_key);
-        assert(ok.is_ok());
-      }
+      require(attest::provision_preattested(
+                  *enclave, options_.root,
+                  options_.confidentiality ? &options_.value_key : nullptr),
+              "client provisioning");
     }
     ClientOptions client_options;
     client_options.id = ClientId{client_id};
@@ -256,28 +236,6 @@ transport::TcpTransport& TcpCluster::home_loop(const KvClient& client) {
     if (clients_[c].get() == &client) return client_home(c);
   }
   return client_transport_->shard(0);
-}
-
-NodeId TcpCluster::write_coordinator() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    bool ok = false;
-    transports_[i]->run_sync([this, i, &ok] {
-      ok = nodes_[i] && nodes_[i]->active() && nodes_[i]->coordinates_writes();
-    });
-    if (ok) return membership_[i];
-  }
-  return membership_.front();
-}
-
-NodeId TcpCluster::read_replica() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    bool ok = false;
-    transports_[i]->run_sync([this, i, &ok] {
-      ok = nodes_[i] && nodes_[i]->active() && nodes_[i]->coordinates_reads();
-    });
-    if (ok) return membership_[i];
-  }
-  return membership_.front();
 }
 
 ClientReply TcpCluster::put(KvClient& client, const std::string& key,
@@ -339,140 +297,35 @@ ClientReply TcpCluster::retry_op(KvClient& client, bool is_put,
   }
 }
 
-void TcpCluster::crash(std::size_t i) {
-  transports_[i]->run_sync([this, i] {
-    if (nodes_[i]->running()) nodes_[i]->stop();
-  });
-}
-
 Status TcpCluster::rejoin(std::size_t i, NodeId donor, sim::Time max_wait,
                           bool* warm_out) {
-  ReplicaNode& node = *nodes_[i];
   if (warm_out != nullptr) *warm_out = false;
-  bool running = false;
-  transports_[i]->run_sync([&] { running = node.running(); });
-  if (running) {
-    return Status::error(ErrorCode::kAlreadyExists, "replica is running");
-  }
-
-  // 1. Machine reboot: fresh enclave (same identity), empty host process.
-  //    Cheap-restart fast path first (durable_wal + clean shutdown): the
-  //    node restores secrets/counters from the sealed marker and replays
-  //    its own log — no re-provisioning, no peer channel resets, no stream.
-  bool warm = false;
-  transports_[i]->run_sync([&] {
-    enclaves_[i]->restart();
-    node.wipe_state();
-    if (node.has_wal()) {
-      if (node.warm_restart().is_ok()) {
-        warm = true;
-      } else {
-        node.wipe_state();  // partial replay must not leak into the cold path
-      }
-    }
-  });
-  if (warm) {
-    if (warm_out != nullptr) *warm_out = true;
-    return Status::ok();
-  }
-
-  //    Cold path: pre-attested re-provisioning — the cluster stands in for
-  //    the CAS.
-  Status provision = Status::ok();
-  transports_[i]->run_sync([&] {
-    if (options_.secured) {
-      provision = enclaves_[i]->install_secret(attest::kClusterRootName,
-                                               options_.root);
-      if (provision.is_ok() && options_.confidentiality) {
-        provision = enclaves_[i]->install_secret(attest::kValueKeyName,
-                                                 options_.value_key);
-      }
-    }
-  });
-  if (!provision.is_ok()) return provision;
-
-  // 2. The fast-path analog of the CAS fresh-node notice: every live peer
-  //    AND every client resets the rejoiner's channel state BEFORE its
-  //    restarted counters can reach them.
-  for (std::size_t j = 0; j < nodes_.size(); ++j) {
-    if (j == i) continue;
-    transports_[j]->run_sync([this, j, &node] {
-      if (nodes_[j]->running()) nodes_[j]->security().reset_peer(node.self());
-    });
-  }
-  for (std::size_t c = 0; c < clients_.size(); ++c) {
-    client_home(c).run_sync([this, c, &node] {
-      clients_[c]->security().reset_peer(node.self());
-    });
-  }
-
-  // 3-6. Shadow join, chunked catch-up from the donor over TCP, promotion —
-  //      all driven on the node's own loop thread.
-  auto verdict = std::make_shared<std::promise<Status>>();
+  auto verdict = std::make_shared<std::promise<Result<bool>>>();
   auto future = verdict->get_future();
-  // The promotion poll's callbacks capture `node` by reference. The handle
-  // makes every armed timer cancellable, so a caller that gives up on the
-  // rejoin (max_wait) can guarantee nothing fires into a node it is about
-  // to destroy. `abandoned` (loop-thread confined) closes the other half of
-  // that race: cancelling the handle alone would not stop a still-queued
-  // catch-up completion from arming a FRESH timer through it afterwards.
-  auto poll = std::make_shared<sim::TimerHandle>();
-  auto abandoned = std::make_shared<bool>(false);
-  transports_[i]->run_sync([this, i, donor, &node, verdict, poll, abandoned] {
-    node.start_as_shadow();
-    node.catch_up_from(
-        donor, [this, i, &node, verdict, poll,
-                abandoned](Result<std::size_t> streamed) {
-          if (*abandoned) return;  // caller timed out: node may be dying
-          if (!streamed) {
-            verdict->set_value(streamed.status());
-            return;
-          }
-          const RejoinOptions defaults;
-          await_promotion(transports_[i]->clock(), node, defaults.promote_poll,
-                          defaults.max_promote_polls,
-                          [verdict](bool promoted) {
-                            verdict->set_value(
-                                promoted ? Status::ok()
-                                         : Status::error(
-                                               ErrorCode::kTimeout,
-                                               "replica stuck in shadow"));
-                          },
-                          poll);
-        });
+  group_->recover_replica(i, donor, [verdict](Result<bool> warm) {
+    verdict->set_value(std::move(warm));
   });
   if (future.wait_for(chrono_ns(max_wait)) != std::future_status::ready) {
-    // Disarm on the loop thread (TimerHandle isn't thread-safe against the
-    // queue) BEFORE handing control back: the caller may destroy the node.
-    transports_[i]->run_sync([poll, abandoned] {
-      *abandoned = true;
-      poll->cancel();
-    });
+    // Disarm BEFORE handing control back: the caller may destroy the node.
+    group_->abandon_recovery(i);
     return Status::error(ErrorCode::kTimeout, "rejoin did not complete");
   }
-  return future.get();
+  const Result<bool> warm = future.get();
+  if (!warm) return warm.status();
+  if (warm_out != nullptr) *warm_out = warm.value();
+  return Status::ok();
 }
 
 Status TcpCluster::shutdown_clean(std::size_t i) {
   Status out = Status::ok();
-  transports_[i]->run_sync([this, i, &out] {
-    if (!nodes_[i]->running()) {
+  run_on(i, [this, i, &out] {
+    if (!node(i).running()) {
       out = Status::error(ErrorCode::kUnavailable, "replica not running");
       return;
     }
-    out = nodes_[i]->shutdown_clean();
+    out = node(i).shutdown_clean();
   });
   return out;
-}
-
-std::uint64_t TcpCluster::committed_ops() {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    transports_[i]->run_sync([this, i, &total] {
-      total += nodes_[i]->committed_ops();
-    });
-  }
-  return total;
 }
 
 double drive_closed_loop_puts(transport::TcpTransport& client_transport,

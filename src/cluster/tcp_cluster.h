@@ -1,20 +1,16 @@
 // TcpCluster: a replication group deployed over REAL sockets, in process.
 //
-// The multi-threaded sibling of the simulator-driven harnesses: every
-// replica gets its own transport::ShardedTcpTransport — its own event-loop
-// shard set (1 shard = exactly the classic single-loop TcpTransport),
-// real-time TimerQueues and loopback TCP listeners — and the group is wired
-// up via the ProtocolRegistry exactly like a ShardGroup, so any registered
+// Real sockets and real time around one ShardGroup: every replica gets its own
+// transport::ShardedTcpTransport — its own event-loop shard set (1 shard =
+// exactly the classic single-loop TcpTransport), real-time TimerQueues and
+// loopback TCP listeners — and the group itself (provisioning, the build
+// and start of each replica, routing facts, §3.7 recovery) is the SAME
+// ShardGroup the simulator's ShardedCluster stands up, so any registered
 // protocol (cr/craq/raft/abd/hermes) runs unmodified with shielding and
-// batching on. A separate client transport hosts KvClients; with
-// transport_shards > 1 clients are homed round-robin across its shards.
-//
-// Replica enclaves are provisioned over the pre-attested fast path (the
-// cluster holds the cluster root, standing in for the CAS exactly like
-// ShardGroup does at bootstrap), and crash/rejoin reuses the §3.7 shadow
-// machinery end-to-end: rejoin() restarts the enclave, resets every peer's
-// and client's channel state for the fresh node, shadow-joins, streams
-// state from a live donor over TCP and promotes when the protocol agrees.
+// batching on. TcpCluster adds what only real sockets need: ports and
+// routes, chaos wrappers, WAL files, metrics registries, admin endpoints,
+// KvClients on a separate client transport (homed round-robin across its
+// shards when transport_shards > 1) and blocking waits on real time.
 //
 // Threading rules: each node's callbacks run only on its own loop thread.
 // Public methods here marshal through TcpTransport::run_sync, so callers
@@ -28,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "attest/bundle.h"
+#include "cluster/shard_group.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "obs/admin.h"
@@ -120,17 +116,20 @@ struct TcpClusterOptions {
 
 class TcpCluster {
  public:
-  // Stands up and starts the whole group; aborts on an unknown protocol
-  // (programming error, like ShardedCluster's shard() contract).
+  // Stands up and starts the whole group. Aborts with the failing Status on
+  // an unknown protocol, a port that cannot be bound or a failed
+  // provisioning — in every build type.
   explicit TcpCluster(TcpClusterOptions options = {});
   ~TcpCluster();
 
   TcpCluster(const TcpCluster&) = delete;
   TcpCluster& operator=(const TcpCluster&) = delete;
 
-  std::size_t size() const { return nodes_.size(); }
-  const std::vector<NodeId>& membership() const { return membership_; }
-  ReplicaNode& node(std::size_t i) { return *nodes_[i]; }
+  std::size_t size() const { return group_->size(); }
+  const std::vector<NodeId>& membership() const {
+    return group_->membership();
+  }
+  ReplicaNode& node(std::size_t i) { return group_->replica(i); }
   // Replica i's transport (aggregate stats, chaos resets, wiring). Replica
   // endpoints live on its shard 0; run_on() marshals there.
   transport::ShardedTcpTransport& transport(std::size_t i) {
@@ -182,18 +181,19 @@ class TcpCluster {
 
   // Current write/read coordinator as the routing layer would pick it
   // (queried live across the loop threads).
-  NodeId write_coordinator();
-  NodeId read_replica();
+  NodeId write_coordinator() { return group_->write_coordinator(); }
+  NodeId read_replica() { return group_->read_replica(); }
 
   // --- failure injection / recovery (§3.7 over TCP) ------------------------
-  void crash(std::size_t i);
+  void crash(std::size_t i) { group_->stop_replica(i); }
 
   // Rejoin of crashed/stopped replica i. With durable_wal and a clean
   // shutdown behind it the node warm-restarts locally (no re-provisioning,
   // no peer resets, no state stream); otherwise the full pre-attested
-  // shadow rejoin streams from `donor`. Returns once the node is active
-  // (or the first error / `max_wait` — a timeout cancels the promotion
-  // poll so its node-capturing callbacks cannot outlive the caller).
+  // shadow rejoin (ShardGroup::recover_replica) streams from `donor`.
+  // Returns once the node is active (or the first error / `max_wait` — a
+  // timeout abandons the recovery so its node-capturing callbacks cannot
+  // outlive the caller).
   // `warm_out` (optional) reports which path ran.
   Status rejoin(std::size_t i, NodeId donor,
                 sim::Time max_wait = 30 * sim::kSecond,
@@ -203,11 +203,9 @@ class TcpCluster {
   // clean marker sealed, THEN stopped — the next rejoin() is warm.
   Status shutdown_clean(std::size_t i);
 
-  std::uint64_t committed_ops();
+  std::uint64_t committed_ops() { return group_->committed_ops(); }
 
  private:
-  struct Replica;
-
   // Shared body of put()/get(): resolve the target, issue on the client's
   // home loop, wait with a real-time bound, re-route-and-retry on failure.
   ClientReply retry_op(KvClient& client, bool is_put, const std::string& key,
@@ -221,7 +219,6 @@ class TcpCluster {
   net::Transport& client_net();
 
   TcpClusterOptions options_;
-  std::vector<NodeId> membership_;
   // Declared before every component that registers series or holds handles
   // (transports, nodes, clients): registries must be destroyed LAST.
   std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics_;
@@ -232,10 +229,9 @@ class TcpCluster {
   // loop must outlive the wrapper's stop flag.
   std::vector<std::unique_ptr<transport::ChaosTransport>> chaos_;
   std::vector<std::unique_ptr<tee::TeePlatform>> platforms_;
-  std::vector<std::unique_ptr<tee::Enclave>> enclaves_;
-  // Declared before nodes_: a node's Wal holds a reference into its storage.
+  // Declared before group_: a node's Wal holds a reference into its storage.
   std::vector<std::unique_ptr<kv::FileWalStorage>> wal_storage_;
-  std::vector<std::unique_ptr<ReplicaNode>> nodes_;
+  std::unique_ptr<ShardGroup> group_;
 
   std::unique_ptr<transport::ShardedTcpTransport> client_transport_;
   std::unique_ptr<transport::ChaosTransport> client_chaos_;

@@ -800,10 +800,6 @@ void TcpTransport::advance_outq(Conn& conn, std::size_t written) {
 }
 
 void TcpTransport::flush_conn(Conn& conn) {
-  if (options_.trickle_bytes > 0) {
-    trickle_flush(conn);
-    return;
-  }
   // rpc_id is opaque at the socket layer; the span keys on the dialed peer
   // instead and carries bytes-written as detail. Recorded only when bytes
   // actually left (EAGAIN-only flushes are noise, not a write).
@@ -863,44 +859,6 @@ void TcpTransport::flush_conn(Conn& conn) {
     conn.write_armed = false;
     epoll_update(conn.fd, EPOLLIN, conn.gen);
   }
-}
-
-// Byte-paced egress (trickle mode): one plain send() of at most
-// trickle_bytes, then a timer re-flushes after trickle_interval. EPOLLOUT
-// stays disarmed — pacing is timer-driven, and level-triggered write
-// readiness would re-fire every poll.
-void TcpTransport::trickle_flush(Conn& conn) {
-  if (conn.write_armed) {
-    conn.write_armed = false;
-    epoll_update(conn.fd, EPOLLIN, conn.gen);
-  }
-  if (conn.trickle_armed || conn.out_bytes == 0) return;
-  const Bytes& front = conn.outq.front();
-  const std::size_t avail = front.size() - conn.out_off;
-  const std::size_t len = std::min(options_.trickle_bytes, avail);
-  const ssize_t n =
-      ::send(conn.fd, front.data() + conn.out_off, len, MSG_NOSIGNAL);
-  if (n > 0) {
-    advance_outq(conn, static_cast<std::size_t>(n));
-  } else if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-             errno != EINTR) {
-    close_conn(conn.fd);
-    return;
-  }
-  if (conn.out_bytes == 0) {
-    conn.outq.clear();
-    conn.out_off = 0;
-    return;
-  }
-  conn.trickle_armed = true;
-  const int fd = conn.fd;
-  const std::uint64_t gen = conn.gen;
-  timers_.schedule(options_.trickle_interval, [this, fd, gen] {
-    const auto it = conns_.find(fd);
-    if (it == conns_.end() || it->second.gen != gen) return;
-    it->second.trickle_armed = false;
-    if (!it->second.connecting) trickle_flush(it->second);
-  });
 }
 
 void TcpTransport::handle_writable(Conn& conn) {

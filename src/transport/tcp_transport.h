@@ -116,12 +116,6 @@ struct TcpTransportOptions {
   // Without this a refused connection is re-dialed on the very next send.
   sim::Time dial_backoff_min = 10 * sim::kMillisecond;
   sim::Time dial_backoff_max = 2 * sim::kSecond;
-  // Chaos/test knob: when > 0, egress is paced byte-level — each connection
-  // writes at most trickle_bytes per trickle_interval (plain send(), no
-  // gathering), so frames arrive split at arbitrary byte boundaries and
-  // receivers must reassemble across many reads.
-  std::size_t trickle_bytes = 0;
-  sim::Time trickle_interval = 1 * sim::kMillisecond;
 
   // --- sharding ------------------------------------------------------------
 
@@ -284,8 +278,6 @@ class TcpTransport final : public net::Transport {
     // Peer this connection was DIALED toward (accepted conns keep the
     // sentinel): connect failures feed that peer's dial backoff.
     std::uint64_t dial_peer{kNoDialPeer};
-    // A trickle-pacing timer is in flight for this conn (trickle mode).
-    bool trickle_armed{false};
     // Queued egress waits for the end-of-pass sweep (listed in dirty_).
     bool dirty{false};
     net::FrameDecoder decoder;
@@ -332,7 +324,6 @@ class TcpTransport final : public net::Transport {
   void out_append(Conn& conn, BytesView data);
   void out_move(Conn& conn, Bytes&& data);
   void flush_conn(Conn& conn);
-  void trickle_flush(Conn& conn);
   void advance_outq(Conn& conn, std::size_t written);
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);

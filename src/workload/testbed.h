@@ -10,6 +10,8 @@
 // 40GbE, SGXv1 with ~94MB usable EPC, SCONE runtime.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -200,9 +202,12 @@ class Testbed {
   }
 
   void provision(tee::Enclave& enclave) {
-    (void)enclave.install_secret(attest::kClusterRootName, root_);
-    if (config_.confidentiality) {
-      (void)enclave.install_secret(attest::kValueKeyName, value_key_);
+    const Status provisioned = attest::provision_preattested(
+        enclave, root_, config_.confidentiality ? &value_key_ : nullptr);
+    if (!provisioned.is_ok()) {
+      std::fprintf(stderr, "Testbed: provisioning failed: %s\n",
+                   provisioned.message().c_str());
+      std::abort();
     }
   }
 

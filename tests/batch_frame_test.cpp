@@ -187,10 +187,8 @@ struct SecurityPair {
   explicit SecurityPair(bool confidential = false)
       : a(enclave_a, NodeId{1}, nullptr, nullptr, cfg(confidential)),
         b(enclave_b, NodeId{2}, nullptr, nullptr, cfg(confidential)) {
-    EXPECT_TRUE(enclave_a.install_secret(attest::kClusterRootName,
-                                         root).is_ok());
-    EXPECT_TRUE(enclave_b.install_secret(attest::kClusterRootName,
-                                         root).is_ok());
+    EXPECT_TRUE(attest::provision_preattested(enclave_a, root).is_ok());
+    EXPECT_TRUE(attest::provision_preattested(enclave_b, root).is_ok());
   }
   static RecipeSecurityConfig cfg(bool confidential) {
     RecipeSecurityConfig c;

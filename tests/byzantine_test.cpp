@@ -274,9 +274,8 @@ TEST(Byzantine, ClientImpersonationRejected) {
   auto& sec = cluster.node(0).security();
   (void)sec;
   tee::Enclave mallory_enclave(cluster.platform(), "recipe-client", 555);
-  ASSERT_TRUE(mallory_enclave
-                  .install_secret(attest::kClusterRootName, cluster.root())
-                  .is_ok());
+  ASSERT_TRUE(
+      attest::provision_preattested(mallory_enclave, cluster.root()).is_ok());
   RecipeSecurity mallory_sec(mallory_enclave, NodeId{2001}, nullptr, nullptr,
                              {});
   auto wire = mallory_sec.shield(NodeId{1}, ViewId{0},

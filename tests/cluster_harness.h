@@ -267,11 +267,9 @@ class Cluster {
  private:
   void provision(tee::Enclave& enclave) {
     ASSERT_TRUE_OR_ABORT(
-        enclave.install_secret(attest::kClusterRootName, root_).is_ok());
-    if (config_.confidentiality) {
-      ASSERT_TRUE_OR_ABORT(
-          enclave.install_secret(attest::kValueKeyName, value_key_).is_ok());
-    }
+        attest::provision_preattested(
+            enclave, root_, config_.confidentiality ? &value_key_ : nullptr)
+            .is_ok());
   }
   static void ASSERT_TRUE_OR_ABORT(bool ok) {
     if (!ok) std::abort();

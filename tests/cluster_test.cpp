@@ -42,7 +42,8 @@ TEST(ShardGroup, UnknownProtocolIsRejected) {
   Deployment d;
   ShardGroupOptions options;
   options.protocol = "paxos";
-  auto group = ShardGroup::create(d.simulator, d.network, d.platform, options);
+  auto group = ShardGroup::create(
+      {ReplicaHost{d.simulator, d.network, d.platform}}, options);
   EXPECT_FALSE(group.is_ok());
 
   auto added = d.store.add_shard("paxos");
@@ -194,6 +195,36 @@ TEST(ShardedCluster, RejectsCollidingIdRanges) {
   ShardedCluster store(simulator, network, platform, options);
   EXPECT_FALSE(store.add_shard("cr").is_ok());
   EXPECT_EQ(store.shard_count(), 0u);
+}
+
+TEST(ShardedCluster, TimedOutRecoveryThenShardRemovalIsSafe) {
+  // Regression (ASan): a replica recovery that timed out left its promotion
+  // poll armed, and once the shard was removed the poll fired into the
+  // freed node.
+  sim::Simulator simulator;
+  net::SimNetwork network(simulator, Rng(17));
+  tee::TeePlatform platform(1);
+  ClusterOptions options;
+  options.handoff_timeout = 100 * sim::kMillisecond;
+  ShardedCluster store(simulator, network, platform, options);
+  auto cr = store.add_shard("cr");
+  auto raft = store.add_shard("raft");
+  ASSERT_TRUE(cr.is_ok() && raft.is_ok());
+  simulator.run_for(200 * sim::kMillisecond);
+
+  // With two of three Raft replicas down no leader exists, so the recovered
+  // shadow catches up from the survivor but never reports caught-up.
+  ShardGroup& group = store.shard(raft.value());
+  group.stop_replica(0);
+  group.stop_replica(1);
+  simulator.run_for(50 * sim::kMillisecond);
+  EXPECT_EQ(store.recover_replica(raft.value(), 1).code(),
+            ErrorCode::kTimeout);
+  ASSERT_TRUE(store.remove_shard(raft.value()).is_ok());
+
+  simulator.run_for(3 * sim::kSecond);  // past the promotion poll's bound
+  EXPECT_TRUE(store.has_shard(cr.value()));
+  EXPECT_FALSE(store.has_shard(raft.value()));
 }
 
 TEST(RoutedClient, FailsCleanlyOnEmptyCluster) {

@@ -61,10 +61,8 @@ struct SecurityFixture : public ::testing::Test {
   crypto::SymmetricKey root{Bytes(32, 0x77)};
 
   void SetUp() override {
-    ASSERT_TRUE(enclave_a.install_secret(attest::kClusterRootName,
-                                         root).is_ok());
-    ASSERT_TRUE(enclave_b.install_secret(attest::kClusterRootName,
-                                         root).is_ok());
+    ASSERT_TRUE(attest::provision_preattested(enclave_a, root).is_ok());
+    ASSERT_TRUE(attest::provision_preattested(enclave_b, root).is_ok());
   }
 
   RecipeSecurity make(tee::Enclave& e, NodeId self,
@@ -277,8 +275,7 @@ TEST_F(SecurityFixture, ChannelCryptoCacheInvalidatedByReattestation) {
             ErrorCode::kUnavailable);
   enclave_a.restart();
   const crypto::SymmetricKey new_root{Bytes(32, 0x99)};
-  ASSERT_TRUE(enclave_a.install_secret(attest::kClusterRootName,
-                                       new_root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(enclave_a, new_root).is_ok());
   b.reset_peer(NodeId{1});
 
   // Sender's cache re-derives from the new root (keyset epoch moved), so
@@ -289,8 +286,7 @@ TEST_F(SecurityFixture, ChannelCryptoCacheInvalidatedByReattestation) {
             ErrorCode::kAuthFailed);
 
   // Once the receiver's enclave learns the new root too, traffic flows.
-  ASSERT_TRUE(enclave_b.install_secret(attest::kClusterRootName,
-                                       new_root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(enclave_b, new_root).is_ok());
   auto w3 = a.shield(NodeId{2}, ViewId{1}, as_view("agreed"));
   auto env = b.verify(NodeId{1}, as_view(w3.value()));
   ASSERT_TRUE(env.is_ok()) << env.status().to_string();

@@ -119,9 +119,7 @@ TEST(RetryPolicyTest, DeadlineCutsRetransmitScheduleShort) {
 
   auto enclave = std::make_unique<tee::Enclave>(cluster.platform(),
                                                 "recipe-client", 2400);
-  ASSERT_TRUE(enclave
-                  ->install_secret(attest::kClusterRootName, cluster.root())
-                  .is_ok());
+  ASSERT_TRUE(attest::provision_preattested(*enclave, cluster.root()).is_ok());
   ClientOptions options;
   options.id = ClientId{2400};
   options.enclave = enclave.get();

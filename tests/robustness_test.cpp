@@ -128,8 +128,8 @@ TEST(Boundaries, EmptyPayloadShieldVerify) {
   tee::TeePlatform platform(1);
   tee::Enclave a(platform, "code", 1), b(platform, "code", 2);
   const crypto::SymmetricKey root{Bytes(32, 0x12)};
-  ASSERT_TRUE(a.install_secret(attest::kClusterRootName, root).is_ok());
-  ASSERT_TRUE(b.install_secret(attest::kClusterRootName, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(a, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(b, root).is_ok());
   RecipeSecurity sa(a, NodeId{1}, nullptr, nullptr, {});
   RecipeSecurity sb(b, NodeId{2}, nullptr, nullptr, {});
   auto wire = sa.shield(NodeId{2}, ViewId{0}, BytesView{});
@@ -143,8 +143,8 @@ TEST(Boundaries, CounterWindowSurvivesBurstOfTraffic) {
   tee::TeePlatform platform(1);
   tee::Enclave a(platform, "code", 1), b(platform, "code", 2);
   const crypto::SymmetricKey root{Bytes(32, 0x12)};
-  ASSERT_TRUE(a.install_secret(attest::kClusterRootName, root).is_ok());
-  ASSERT_TRUE(b.install_secret(attest::kClusterRootName, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(a, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(b, root).is_ok());
   RecipeSecurity sa(a, NodeId{1}, nullptr, nullptr, {});
   RecipeSecurityConfig config;
   config.replay_window = 64;
@@ -169,8 +169,8 @@ TEST(Boundaries, StrictFutureBufferIsBounded) {
   tee::TeePlatform platform(1);
   tee::Enclave a(platform, "code", 1), b(platform, "code", 2);
   const crypto::SymmetricKey root{Bytes(32, 0x12)};
-  ASSERT_TRUE(a.install_secret(attest::kClusterRootName, root).is_ok());
-  ASSERT_TRUE(b.install_secret(attest::kClusterRootName, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(a, root).is_ok());
+  ASSERT_TRUE(attest::provision_preattested(b, root).is_ok());
   RecipeSecurity sa(a, NodeId{1}, nullptr, nullptr, {});
   RecipeSecurityConfig config;
   config.order = OrderPolicy::kStrict;

@@ -29,10 +29,8 @@ struct MtSecurityFixture : public ::testing::Test {
   crypto::SymmetricKey root{Bytes(32, 0x77)};
 
   void SetUp() override {
-    ASSERT_TRUE(
-        enclave_a.install_secret(attest::kClusterRootName, root).is_ok());
-    ASSERT_TRUE(
-        enclave_b.install_secret(attest::kClusterRootName, root).is_ok());
+    ASSERT_TRUE(attest::provision_preattested(enclave_a, root).is_ok());
+    ASSERT_TRUE(attest::provision_preattested(enclave_b, root).is_ok());
   }
 
   RecipeSecurity make(tee::Enclave& e, NodeId self,

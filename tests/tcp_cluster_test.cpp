@@ -5,6 +5,10 @@
 // stays linearizable: every read returns the latest completed write.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -504,6 +508,38 @@ TEST(TcpClusterTest, TeardownDuringAbandonedRejoinIsSafe) {
   EXPECT_FALSE(rejoined.is_ok());
   // Scope exit tears the whole cluster down RIGHT NOW: any timer the
   // abandoned rejoin left armed would fire into destroyed nodes.
+}
+
+// Construction failures abort with the failing Status in every build type
+// (release builds compile asserts out). "threadsafe" re-executes the binary
+// for the death statement, so the transports' loop threads are safe to fork.
+TEST(TcpClusterDeathTest, UnknownProtocolAbortsWithItsName) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TcpClusterOptions options;
+  options.protocol = "paxos";
+  EXPECT_DEATH({ TcpCluster cluster(options); },
+               "TcpCluster: replica group: unknown protocol: paxos");
+}
+
+TEST(TcpClusterDeathTest, BoundBasePortAbortsWithTheListenError) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Hold a loopback port (no SO_REUSEPORT, so nothing else can bind it).
+  const int held = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(held, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(held, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(held, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(held, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  TcpClusterOptions options;
+  options.replicas = 1;
+  options.base_port = ntohs(addr.sin_port);
+  EXPECT_DEATH({ TcpCluster cluster(options); }, "TcpCluster: listen: ");
+  ::close(held);
 }
 
 }  // namespace

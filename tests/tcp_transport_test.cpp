@@ -2,17 +2,19 @@
 // echo RPC across two event loops, stream reassembly of large frames,
 // backpressure, multi-endpoint local delivery, crash/recover semantics, and
 // the degradation machinery (dial backoff, egress shedding, EMFILE
-// accept-shed, byte-paced trickle, injected resets).
+// accept-shed, injected resets) and frames that arrive in short slices.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -600,41 +602,6 @@ TEST(TcpTransportTest, EmfileAcceptShedsInsteadOfSpinning) {
       << " dropped=" << b.transport.packets_dropped();
 }
 
-// Byte-paced trickle egress: frames leave in trickle_bytes slices spaced by
-// trickle_interval, so a frame's wire time is observable — and the receiver
-// still reassembles it intact.
-TEST(TcpTransportTest, TricklePacedEgressReassemblesIntact) {
-  TcpTransportOptions slow;
-  slow.trickle_bytes = 256;
-  slow.trickle_interval = sim::kMillisecond;
-  Peer a{NodeId{1}, slow};
-  Peer b{NodeId{2}};  // replies return at full speed
-  ASSERT_TRUE(a.transport.add_route(b.id, "127.0.0.1", b.listen_port)
-                  .is_ok());
-  a.start();
-  b.start();
-
-  Bytes payload(4 * 1024, 0);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
-  }
-  const auto started = std::chrono::steady_clock::now();
-  auto done = std::make_shared<std::promise<Bytes>>();
-  auto future = done->get_future();
-  a.transport.run_sync([&] {
-    a.rpc->send(b.id, kEcho, payload, [done](NodeId, Bytes echoed) {
-      done->set_value(std::move(echoed));
-    });
-  });
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
-  EXPECT_EQ(future.get(), payload);
-  // ~4KB at 256 bytes per 1ms slice: at least ~16ms of pacing (allow wide
-  // scheduling slack downward but reject an unpaced instant send).
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  EXPECT_GE(elapsed, std::chrono::milliseconds(8));
-}
-
 // Injected connection resets (the chaos reset storm's hook): the victim
 // link is RST-killed, the counter ticks, and traffic recovers by redialing.
 TEST(TcpTransportTest, ResetPeerConnectionsRstsAndRecovers) {
@@ -847,6 +814,67 @@ TEST(TcpTransportTest, SendAfterStopStillLeaves) {
   // Runs inline on this thread over the established connection.
   link.sender.send(link.packet(to_bytes("ping")));
   EXPECT_EQ(link.wait_for(2), 2u);
+}
+
+// A frame that reaches the listener in short slices — a slow peer writing
+// 256 bytes at a time — is reassembled across many reads and delivered
+// intact, exactly once.
+TEST(TcpTransportTest, TricklePacedEgressReassemblesIntact) {
+  const NodeId to{2};
+  // Declared before the transport: its loop writes them until it is joined.
+  std::mutex mu;
+  std::vector<Bytes> received;
+  TcpTransport receiver;
+  auto port = receiver.listen(to, 0);
+  ASSERT_TRUE(port.is_ok());
+  receiver.attach(to, net::NetStackParams::direct_io_native(),
+                  [&](net::Packet packet) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    received.push_back(std::move(packet.payload));
+                  });
+
+  net::Packet packet;
+  packet.src = NodeId{1};
+  packet.dst = to;
+  packet.payload.resize(4 * 1024);
+  for (std::size_t i = 0; i < packet.payload.size(); ++i) {
+    packet.payload[i] = static_cast<std::uint8_t>(i * 13 + 5);
+  }
+  const Bytes wire = net::encode_frame(packet);
+
+  const int raw = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(raw, 0);
+  const int one = 1;  // every slice its own segment
+  ::setsockopt(raw, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port.value());
+  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  constexpr std::size_t kSlice = 256;
+  for (std::size_t off = 0; off < wire.size(); off += kSlice) {
+    const std::size_t len = std::min(kSlice, wire.size() - off);
+    ASSERT_EQ(::send(raw, wire.data() + off, len, MSG_NOSIGNAL),
+              static_cast<ssize_t>(len));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!received.empty() || std::chrono::steady_clock::now() >= deadline) {
+        break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(raw);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received.front(), packet.payload);
 }
 
 }  // namespace

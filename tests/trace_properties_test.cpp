@@ -55,8 +55,7 @@ class DolevYaoHarness {
       enclaves_.push_back(
           std::make_unique<tee::Enclave>(platform_, "code", id.value));
       EXPECT_TRUE(
-          enclaves_.back()->install_secret(attest::kClusterRootName,
-                                           root_).is_ok());
+          attest::provision_preattested(*enclaves_.back(), root_).is_ok());
       RecipeSecurityConfig config;
       config.order = order;
       policies_.push_back(std::make_unique<RecipeSecurity>(

@@ -37,8 +37,7 @@ struct GoldenFixture : public ::testing::Test {
   crypto::SymmetricKey root{Bytes(32, 0x77)};
 
   void SetUp() override {
-    ASSERT_TRUE(enclave_a.install_secret(attest::kClusterRootName,
-                                         root).is_ok());
+    ASSERT_TRUE(attest::provision_preattested(enclave_a, root).is_ok());
   }
 };
 
